@@ -8,7 +8,7 @@ oracle, a synthetic data generator, and a command-line interface.
 """
 
 from .dataset import HeteroDataset
-from .engine import fit, select_k, surrogate_objective, update_scores
+from .engine import fit, select_k, surrogate_objective
 from .errors import (
     DimensionMismatch,
     MmfaError,
@@ -17,7 +17,7 @@ from .errors import (
     UndefinedMetricError,
     UndefinedScoreError,
 )
-from .expfam import CurvatureMatrix, bohning_bound, curvature_apply, lse, softmax_pivot
+from .expfam import CurvatureMatrix, bohning_bound, lse, softmax_pivot
 from .fisher import (
     FisherResult,
     MseExperimentConfig,
@@ -26,12 +26,7 @@ from .fisher import (
     mse_experiment,
     multinomial_fisher_mc,
 )
-from .gaussian import (
-    GaussianState,
-    gaussian_e_step,
-    gaussian_m_step,
-    gaussian_score_contribution,
-)
+from .gaussian import GaussianState, gaussian_e_step, gaussian_m_step
 from .inference import (
     AnomalyVerdict,
     InstanceScore,
@@ -51,7 +46,6 @@ from .multinomial import (
     MultinomialState,
     adjusted_counts,
     multinomial_e_step,
-    multinomial_score_contribution,
     psi_update,
 )
 from .synth import GeneratorConfig, SyntheticData, inject_outliers, sample_dataset
@@ -83,12 +77,10 @@ __all__ = [
     "bohning_bound",
     "category_probabilities",
     "crlb",
-    "curvature_apply",
     "fit",
     "gaussian_e_step",
     "gaussian_fisher",
     "gaussian_m_step",
-    "gaussian_score_contribution",
     "impute",
     "inject_outliers",
     "instance_log_likelihoods",
@@ -97,7 +89,6 @@ __all__ = [
     "mse_experiment",
     "multinomial_e_step",
     "multinomial_fisher_mc",
-    "multinomial_score_contribution",
     "predict_gaussian",
     "predictive_log_likelihood",
     "psi_update",
@@ -109,5 +100,4 @@ __all__ = [
     "select_k",
     "softmax_pivot",
     "surrogate_objective",
-    "update_scores",
 ]

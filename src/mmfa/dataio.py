@@ -114,9 +114,6 @@ def save_dataset(directory, dataset, ground_truth=None, labels=None):
     """
     os.makedirs(directory, exist_ok=True)
 
-    def rel(name):
-        return name
-
     def full(name):
         return os.path.join(directory, name)
 
@@ -125,18 +122,18 @@ def save_dataset(directory, dataset, ground_truth=None, labels=None):
         d1 = dataset.n_gaussian
         cols = [f"f{j}" for j in range(d1)]
         write_matrix_csv(full("gaussian.csv"), dataset.gaussian, cols)
-        doc["gaussian"] = {"csv": rel("gaussian.csv"), "d1": d1}
+        doc["gaussian"] = {"csv": "gaussian.csv", "d1": d1}
         if dataset.mask is not None:
             write_matrix_csv(
                 full("gaussian_mask.csv"), dataset.mask.astype(float), cols
             )
-            doc["gaussian"]["mask_csv"] = rel("gaussian_mask.csv")
+            doc["gaussian"]["mask_csv"] = "gaussian_mask.csv"
     doc["categoricals"] = []
     for m, block in enumerate(dataset.categoricals):
         name = f"cat_{m}.csv"
         cols = [f"c{j}" for j in range(block.n_categories)]
         write_matrix_csv(full(name), block.full_counts(), cols)
-        entry = {"csv": rel(name), "d2": block.n_categories}
+        entry = {"csv": name, "d2": block.n_categories}
         trials = np.unique(block.trials)
         if trials.size == 1:
             entry["trials"] = float(trials[0])

@@ -1,4 +1,4 @@
-"""EM driver: parallel per-modality updates synchronized by a score step.
+"""EM driver: per-modality updates followed by a shared score step.
 
 One iteration runs, in order: the exact Gaussian posterior and noise
 updates, the variational multinomial posterior and expansion-point
@@ -10,7 +10,6 @@ objective, so the tracked objective never decreases.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -118,22 +117,26 @@ def _nonneg_qp_batch(H, rho, warm_start):
     return c
 
 
-def update_scores(H, rho, mode="unconstrained", ridge_weight=0.0, warm_start=None):
-    """Single-instance score update; see :func:`solve_scores_batch`."""
-    H = np.asarray(H, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    warm = None if warm_start is None else np.asarray(warm_start, dtype=float)[None]
-    return solve_scores_batch(
-        H[None], rho[None], mode, ridge_weight, warm_start=warm
-    )[0]
+def score_system(data, gauss_state, sigma2, cat_states, expansions):
+    """Stacked score quadratic programs (H, rho) of every instance.
 
-
-def _gaussian_sweep(data, spec, C, sigma2):
-    state = gmod.gaussian_e_step(C, sigma2, data.gaussian, data.mask)
-    sigma2 = gmod.gaussian_m_step(
-        state, C, data.gaussian, data.mask, spec.alpha, spec.beta
-    )
-    return state, sigma2
+    Sums the Gaussian terms at noise variances sigma2 and, for each
+    categorical block, the bounded multinomial terms at its expansion
+    points. Fitting and scoring both solve this system.
+    """
+    H = rho = 0.0
+    if data.gaussian is not None:
+        H, rho = gmod.gaussian_score_terms(
+            gauss_state, sigma2, data.gaussian, data.mask
+        )
+    for state, block, psi in zip(cat_states, data.categoricals, expansions):
+        ztilde = mmod.adjusted_counts(
+            block.counts, block.trials, psi, block.n_categories
+        )
+        Hm, rm = mmod.multinomial_score_terms(state, ztilde, block.trials)
+        H += Hm
+        rho += rm
+    return H, rho
 
 
 def _categorical_sweep(block, C, expansion):
@@ -145,7 +148,7 @@ def _categorical_sweep(block, C, expansion):
     return state
 
 
-def fit(data, spec, callback=None, n_threads=1):
+def fit(data, spec, callback=None):
     """Fit the factor model to a heterogeneous dataset.
 
     Iterates until the relative change of the surrogate objective falls
@@ -187,85 +190,51 @@ def fit(data, spec, callback=None, n_threads=1):
     seconds = []
     stopped_early = False
     iterations = 0
-    pool = None
-    if n_threads and n_threads > 1:
-        pool = ThreadPoolExecutor(max_workers=n_threads)
-    try:
-        for iteration in range(1, spec.max_iters + 1):
-            start = time.perf_counter()
-            try:
-                tasks = []
-                if data.gaussian is not None:
-                    tasks.append(("g", lambda: _gaussian_sweep(data, spec, C, sigma2)))
-                for m, block in enumerate(data.categoricals):
-                    tasks.append(
-                        (
-                            m,
-                            lambda block=block, m=m: _categorical_sweep(
-                                block, C, cat_states[m].expansion
-                            ),
-                        )
-                    )
-                if pool is not None and len(tasks) > 1:
-                    results = list(pool.map(lambda t: (t[0], t[1]()), tasks))
-                else:
-                    results = [(key, fn()) for key, fn in tasks]
-                for key, value in results:
-                    if key == "g":
-                        gauss_state, sigma2 = value
-                    else:
-                        cat_states[key] = value
-
-                H = np.zeros((p, k, k))
-                rho = np.zeros((p, k))
-                if data.gaussian is not None:
-                    Hg, rg = gmod.gaussian_score_terms(
-                        gauss_state, sigma2, data.gaussian, data.mask
-                    )
-                    H += Hg
-                    rho += rg
-                for state, block in zip(cat_states, data.categoricals):
-                    ztilde = mmod.adjusted_counts(
-                        block.counts, block.trials, state.expansion,
-                        block.n_categories,
-                    )
-                    Hm, rm = mmod.multinomial_score_terms(
-                        state, ztilde, block.trials
-                    )
-                    H += Hm
-                    rho += rm
-                C = solve_scores_batch(
-                    H, rho, spec.score_update, spec.ridge_weight, warm_start=C.T
-                ).T
-            except NumericalError as exc:
-                raise NumericalError(f"iteration {iteration}: {exc}") from exc
-
-            objective = _objective(data, spec, C, gauss_state, sigma2, cat_states)
-            seconds.append(time.perf_counter() - start)
-            trace.append(objective)
-            iterations = iteration
-            if callback is not None:
-                callback(
-                    iteration,
-                    FittedModel(
-                        spec=spec,
-                        scores=C,
-                        gaussian=gauss_state,
-                        noise_variance=sigma2,
-                        categoricals=cat_states,
-                        objective_trace=trace.copy(),
-                        iterations_run=iteration,
-                        converged=False,
-                    ),
+    for iteration in range(1, spec.max_iters + 1):
+        start = time.perf_counter()
+        try:
+            if data.gaussian is not None:
+                gauss_state = gmod.gaussian_e_step(C, sigma2, data.gaussian, data.mask)
+                sigma2 = gmod.gaussian_m_step(
+                    gauss_state, C, data.gaussian, data.mask, spec.alpha, spec.beta
                 )
-            previous = trace[-2]
-            rel_change = abs(objective - previous) / max(abs(previous), 1e-12)
-            if rel_change < spec.tol:
-                stopped_early = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            cat_states = [
+                _categorical_sweep(block, C, state.expansion)
+                for block, state in zip(data.categoricals, cat_states)
+            ]
+            H, rho = score_system(
+                data, gauss_state, sigma2, cat_states,
+                [state.expansion for state in cat_states],
+            )
+            C = solve_scores_batch(
+                H, rho, spec.score_update, spec.ridge_weight, warm_start=C.T
+            ).T
+        except NumericalError as exc:
+            raise NumericalError(f"iteration {iteration}: {exc}") from exc
+
+        objective = _objective(data, spec, C, gauss_state, sigma2, cat_states)
+        seconds.append(time.perf_counter() - start)
+        trace.append(objective)
+        iterations = iteration
+        if callback is not None:
+            callback(
+                iteration,
+                FittedModel(
+                    spec=spec,
+                    scores=C,
+                    gaussian=gauss_state,
+                    noise_variance=sigma2,
+                    categoricals=cat_states,
+                    objective_trace=trace.copy(),
+                    iterations_run=iteration,
+                    converged=False,
+                ),
+            )
+        previous = trace[-2]
+        rel_change = abs(objective - previous) / max(abs(previous), 1e-12)
+        if rel_change < spec.tol:
+            stopped_early = True
+            break
 
     return FittedModel(
         spec=spec,

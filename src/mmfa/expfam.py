@@ -92,11 +92,6 @@ class CurvatureMatrix:
         return 0.5 * (np.eye(d - 1) - np.ones((d - 1, d - 1)) / d)
 
 
-def curvature_apply(curvature, v):
-    """Matrix-free product of a :class:`CurvatureMatrix` with a vector."""
-    return curvature.apply(v)
-
-
 def bohning_bound(eta, psi):
     """Quadratic upper bound on lse(eta), expanded around psi.
 

@@ -36,6 +36,16 @@ class FisherResult:
     def total(self):
         return self.gaussian + self.multinomial
 
+    @property
+    def crlb_gaussian(self):
+        """Bound from the Gaussian block alone: trace of its inverse Fisher."""
+        return _trace_inverse(self.gaussian)
+
+    @property
+    def crlb_multinomial(self):
+        """Bound from the multinomial block alone."""
+        return _trace_inverse(self.multinomial)
+
 
 def gaussian_fisher(c, mean, cov=None, noise_variance=1.0):
     """Fisher information of the Gaussian block at score vector c.

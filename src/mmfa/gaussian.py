@@ -133,17 +133,6 @@ def gaussian_score_terms(state, sigma2, Y, mask=None):
     return H, rho
 
 
-def gaussian_score_contribution(state, sigma2, Y, mask, i):
-    """(H, rho) pair for a single instance; see :func:`gaussian_score_terms`."""
-    H, rho = gaussian_score_terms(
-        state,
-        np.asarray(sigma2)[i : i + 1],
-        np.asarray(Y)[i : i + 1],
-        None if mask is None else np.asarray(mask)[i : i + 1],
-    )
-    return H[0], rho[0]
-
-
 def expected_gaussian_loglik(state, sigma2, C, Y, mask=None):
     """Expected data log-density under the loading posteriors, per instance.
 

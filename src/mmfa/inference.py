@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as gmod
 from . import multinomial as mmod
-from .engine import solve_scores_batch
+from .engine import score_system, solve_scores_batch
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
 from .expfam import softmax_pivot
 
@@ -75,35 +75,21 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     spec = model.spec
     p, k = data.n_instances, model.n_factors
 
-    H_cat = np.zeros((p, k, k))
     mask = None
     sigma2 = None
     prior_mode = gmod.prior_mode_variance(spec.alpha, spec.beta)
     if data.gaussian is not None:
         mask = data.observed_mask()
         sigma2 = np.full(data.gaussian.shape, prior_mode)
-    bases = [mmod.score_base(state) for state in model.categoricals]
-    for base, block in zip(bases, data.categoricals):
-        H_cat += block.trials[:, None, None] * base
 
     C = np.zeros((p, k))
     expansions = [
         np.zeros((p, state.n_categories - 1)) for state in model.categoricals
     ]
     for _ in range(max_inner):
-        H = H_cat.copy()
-        rho = np.zeros((p, k))
-        if data.gaussian is not None:
-            Hg, rg = gmod.gaussian_score_terms(
-                model.gaussian, sigma2, data.gaussian, mask
-            )
-            H += Hg
-            rho += rg
-        for state, block, psi in zip(model.categoricals, data.categoricals, expansions):
-            ztilde = mmod.adjusted_counts(
-                block.counts, block.trials, psi, block.n_categories
-            )
-            rho += ztilde @ state.loading_mean.T
+        H, rho = score_system(
+            data, model.gaussian, sigma2, model.categoricals, expansions
+        )
         new_C = solve_scores_batch(
             H, rho, spec.score_update, spec.ridge_weight, warm_start=C
         )

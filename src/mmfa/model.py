@@ -6,6 +6,7 @@ raw little-endian float64 values in column-major order, referenced by
 offset from the JSON manifest. Both forms round-trip bit exactly.
 """
 
+import contextlib
 import json
 import os
 import warnings
@@ -155,8 +156,22 @@ def _collect_arrays(model):
     return arrays
 
 
+@contextlib.contextmanager
+def _staged(target, mode, staged):
+    """Open a temporary file beside target and record (temporary, target)."""
+    tmp = f"{target}.{os.getpid()}.tmp"
+    with open(tmp, mode) as fh:
+        staged.append((tmp, target))
+        yield fh
+
+
 def save_model(model, path):
-    """Write a fitted model; see module docstring for the format."""
+    """Write a fitted model; see module docstring for the format.
+
+    The write is atomic per file: the sidecar blob and the JSON document
+    go to temporary files first and replace the targets, blob first, only
+    once both are complete. A failed write leaves any older model intact.
+    """
     arrays = _collect_arrays(model)
     total = sum(a.size for a in arrays.values())
     doc = {
@@ -168,29 +183,36 @@ def save_model(model, path):
         "objective_trace": list(map(float, model.objective_trace)),
         "arrays": {},
     }
-    blob_path = None
-    if total > INLINE_ELEMENT_LIMIT:
-        blob_path = os.fspath(path) + ".bin"
-        doc["blob"] = os.path.basename(blob_path)
-        offset = 0
-        with open(blob_path, "wb") as fh:
+    staged = []
+    try:
+        if total > INLINE_ELEMENT_LIMIT:
+            blob_path = os.fspath(path) + ".bin"
+            doc["blob"] = os.path.basename(blob_path)
+            offset = 0
+            with _staged(blob_path, "wb", staged) as fh:
+                for name in sorted(arrays):
+                    arr = np.asarray(arrays[name], dtype="<f8")
+                    fh.write(arr.tobytes(order="F"))
+                    doc["arrays"][name] = {
+                        "shape": list(arr.shape),
+                        "offset": offset,
+                    }
+                    offset += arr.size * 8
+        else:
             for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype="<f8")
-                fh.write(arr.tobytes(order="F"))
+                arr = np.asarray(arrays[name], dtype=float)
                 doc["arrays"][name] = {
                     "shape": list(arr.shape),
-                    "offset": offset,
+                    "values": arr.ravel(order="F").tolist(),
                 }
-                offset += arr.size * 8
-    else:
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype=float)
-            doc["arrays"][name] = {
-                "shape": list(arr.shape),
-                "values": arr.ravel(order="F").tolist(),
-            }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        with _staged(os.fspath(path), "w", staged) as fh:
+            json.dump(doc, fh, sort_keys=True)
+    except BaseException:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+        raise
+    for tmp, target in staged:
+        os.replace(tmp, target)
     return path
 
 

@@ -223,13 +223,6 @@ def multinomial_score_terms(state, ztilde, trials):
     return H, rho
 
 
-def multinomial_score_contribution(state, ztilde, trials, i):
-    """Single-instance (H, rho); H is symmetric and scales with trials_i."""
-    base = score_base(state)
-    trials = np.asarray(trials, dtype=float)
-    return trials[i] * base, state.loading_mean @ np.asarray(ztilde, dtype=float)[i]
-
-
 def expected_bound_loglik(state, counts, trials, expansion, C):
     """Per-instance expectation of the bounded data log-likelihood.
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mmfa.cli import main
+from mmfa.cli import _rank_auc, main
 
 
 def run(capsys, *argv):
@@ -198,26 +198,6 @@ class TestEval:
         assert code == 2
 
 
-class TestThreads:
-    def test_env_fallback(self, sim_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MMFA_THREADS", "2")
-        code, _, _ = run(
-            capsys, "fit", str(sim_dir / "manifest.json"), "--k", "2",
-            "--tol", "1e-4", "--max-iters", "60", "-o",
-            str(tmp_path / "t.mmfa"),
-        )
-        assert code in (0, 3)
-
-    def test_env_invalid(self, sim_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MMFA_THREADS", "soup")
-        code, _, err = run(
-            capsys, "fit", str(sim_dir / "manifest.json"), "--k", "2",
-            "-o", str(tmp_path / "t.mmfa"),
-        )
-        assert code == 1
-        assert "MMFA_THREADS" in err
-
-
 class TestShippedConfigs:
     def test_reference_experiment_config_loads(self):
         import os
@@ -290,3 +270,32 @@ class TestMseExperimentCommand:
         ]
         assert lines[0].split(",")[0] == "iteration"
         assert len(lines) == 4  # header + 3 iterations
+
+
+class TestRankAuc:
+    @staticmethod
+    def pairwise_auc(scores, labels):
+        # Mann-Whitney count over all (positive, negative) pairs, ties half
+        pos, neg = scores[labels], scores[~labels]
+        wins = (pos[:, None] > neg[None, :]).sum()
+        ties = (pos[:, None] == neg[None, :]).sum()
+        return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+    def test_tie_heavy_matches_pairwise_count(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(5, 200))
+            scores = rng.integers(0, 4, n).astype(float)
+            labels = rng.random(n) < 0.3
+            if labels.all() or not labels.any():
+                continue
+            assert _rank_auc(scores, labels) == pytest.approx(
+                self.pairwise_auc(scores, labels), abs=1e-12
+            )
+
+    def test_all_tied_is_one_half(self):
+        labels = np.array([True, False, True, False, False])
+        assert _rank_auc(np.ones(5), labels) == 0.5
+
+    def test_single_class_is_nan(self):
+        assert np.isnan(_rank_auc(np.arange(4.0), np.zeros(4, dtype=bool)))

@@ -159,6 +159,16 @@ class TestCrlb:
         assert result.gaussian[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert 1.0 / total == pytest.approx(0.25, abs=1e-12)
 
+    def test_single_block_bounds(self):
+        result = crlb(
+            np.array([1.0, 0.5]),
+            gaussian={"mean": np.eye(2), "noise_variance": 2.0},
+        )
+        np.testing.assert_allclose(result.gaussian, np.eye(2) / 2.0, atol=1e-12)
+        assert result.crlb_gaussian == pytest.approx(4.0, rel=1e-12)
+        assert result.crlb_gaussian == pytest.approx(result.crlb, rel=1e-12)
+        assert result.crlb_multinomial == np.inf  # no multinomial block
+
     def test_singular_combined_fisher_raises(self):
         with pytest.raises(NumericalError):
             crlb(np.array([1.0, 1.0]), gaussian={"mean": np.zeros((1, 2))})

@@ -20,7 +20,6 @@ from mmfa import (
     save_model,
     select_k,
     surrogate_objective,
-    update_scores,
 )
 from mmfa.engine import solve_scores_batch
 
@@ -39,13 +38,21 @@ def small_dataset(seed=0, p=40, with_missing=False):
     return sample_dataset(cfg)
 
 
+def solve_one(H, rho, mode="unconstrained", ridge_weight=0.0):
+    """One instance's score solve through the batch solver."""
+    return solve_scores_batch(
+        np.asarray(H, dtype=float)[None], np.asarray(rho, dtype=float)[None],
+        mode, ridge_weight,
+    )[0]
+
+
 class TestUpdateScores:
     def test_identity_system(self):
         rho = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(update_scores(np.eye(3), rho), rho, atol=1e-14)
+        np.testing.assert_allclose(solve_one(np.eye(3), rho), rho, atol=1e-14)
 
     def test_diagonal_with_ridge(self):
-        got = update_scores(
+        got = solve_one(
             np.diag([2.0, 4.0]), np.array([2.0, 4.0]), mode="ridge",
             ridge_weight=1e-6,
         )
@@ -54,7 +61,7 @@ class TestUpdateScores:
     def test_singular_without_ridge_raises(self):
         H = np.zeros((2, 2))
         with pytest.raises(NumericalError, match="ridge"):
-            update_scores(H, np.ones(2))
+            solve_one(H, np.ones(2))
 
     def test_nonnegative_matches_active_set_enumeration(self):
         rng = np.random.default_rng(5)
@@ -63,7 +70,7 @@ class TestUpdateScores:
                 M = rng.standard_normal((k, k + 2))
                 H = M @ M.T + 0.1 * np.eye(k)
                 rho = rng.standard_normal(k) * 2.0
-                got = update_scores(H, rho, mode="nonnegative")
+                got = solve_one(H, rho, mode="nonnegative")
                 best = None
                 for active in itertools.product([0, 1], repeat=k):
                     free = np.array(active, dtype=bool)
@@ -90,7 +97,7 @@ class TestUpdateScores:
         rho = rng.standard_normal((p, k))
         batch = solve_scores_batch(H, rho, "ridge", 1e-6)
         for i in range(p):
-            single = update_scores(H[i], rho[i], "ridge", 1e-6)
+            single = solve_one(H[i], rho[i], "ridge", 1e-6)
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
@@ -125,17 +132,6 @@ class TestFitContracts:
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.noise_variance, b.noise_variance)
         assert a.objective_trace == b.objective_trace
-
-    def test_threads_do_not_change_result(self):
-        cfg = GeneratorConfig(
-            n_factors=2, n_instances=30, n_gaussian=3,
-            n_categories=(3, 4), n_trials=5, seed=2,
-        )
-        synth = sample_dataset(cfg)
-        spec = ModelSpec(n_factors=2, max_iters=10, seed=0)
-        serial = fit(synth.dataset, spec, n_threads=1)
-        threaded = fit(synth.dataset, spec, n_threads=4)
-        np.testing.assert_array_equal(serial.scores, threaded.scores)
 
     def test_gaussian_only_recovers_structure(self):
         # no categorical block: plain Bayesian factor analysis; recovered
@@ -338,6 +334,34 @@ class TestModelIO:
         np.testing.assert_array_equal(
             loaded.categoricals[0].expansion, model.categoricals[0].expansion
         )
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
+    def test_failed_overwrite_keeps_old_model(self, tmp_path, monkeypatch, sidecar):
+        import mmfa.model as model_module
+
+        if sidecar:
+            monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
+        synth = small_dataset(seed=1, p=10)
+        old = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
+        new = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=3, seed=2))
+        path = tmp_path / "model.mmfa"
+        save_model(old, path)
+        assert (tmp_path / "model.mmfa.bin").exists() == sidecar
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"schema_version": 1, "arr')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model_module.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(new, path)
+        monkeypatch.undo()
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert after == before  # old bytes intact, no temporary file left
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.scores, old.scores)
+        assert loaded.objective_trace == old.objective_trace
 
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)

@@ -8,7 +8,6 @@ from mmfa import gaussian_e_step
 from mmfa.gaussian import (
     GaussianState,
     gaussian_m_step as m_step,
-    gaussian_score_contribution,
     gaussian_score_terms,
     prior_mode_variance,
 )
@@ -172,13 +171,13 @@ class TestMStep:
 class TestScoreContribution:
     def test_no_observed_features(self):
         state = GaussianState(mean=np.ones((2, 2)), cov=np.ones((2, 2, 2)))
-        H, rho = gaussian_score_contribution(
+        H, rho = gaussian_score_terms(
             state,
             sigma2=np.ones((1, 2)),
             Y=np.ones((1, 2)),
             mask=np.zeros((1, 2), dtype=bool),
-            i=0,
         )
+        H, rho = H[0], rho[0]
         np.testing.assert_array_equal(H, 0.0)
         np.testing.assert_array_equal(rho, 0.0)
 
@@ -186,9 +185,10 @@ class TestScoreContribution:
         state = GaussianState(
             mean=np.array([[1.0, 0.0]]), cov=np.eye(2)[None]
         )
-        H, rho = gaussian_score_contribution(
-            state, np.ones((1, 1)), np.array([[3.0]]), None, 0
+        H, rho = gaussian_score_terms(
+            state, np.ones((1, 1)), np.array([[3.0]]), None
         )
+        H, rho = H[0], rho[0]
         np.testing.assert_allclose(H, np.eye(2) + np.outer([1, 0], [1, 0]))
         np.testing.assert_allclose(rho, [3.0, 0.0])
 
@@ -201,7 +201,8 @@ class TestScoreContribution:
         sigma2 = rng.uniform(0.3, 2.0, size=(1, d1))
         Y = rng.standard_normal((1, d1))
         mask = np.array([[True, False, True, True]])
-        H, rho = gaussian_score_contribution(state, sigma2, Y, mask, 0)
+        H, rho = gaussian_score_terms(state, sigma2, Y, mask)
+        H, rho = H[0], rho[0]
         H_ref = np.zeros((k, k))
         rho_ref = np.zeros(k)
         for j in range(d1):

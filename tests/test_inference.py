@@ -24,6 +24,7 @@ from mmfa import (
     score_dataset,
     score_instance,
 )
+from mmfa.engine import score_system, solve_scores_batch
 from mmfa.inference import anomaly_threshold, predict_gaussian
 
 
@@ -129,6 +130,54 @@ class TestScoreInstance:
         np.testing.assert_array_equal(
             model.categoricals[0].expansion, before["expansion"]
         )
+
+
+class TestSharedScoreSystem:
+    """Fitting and scoring solve one score system (engine.score_system)."""
+
+    @pytest.fixture(scope="class")
+    def masked_two_blocks(self):
+        synth = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=60, n_gaussian=5, n_categories=(4, 3),
+                n_trials=6, noise_variance=0.5, missing_fraction=0.3, seed=12,
+            )
+        )
+        model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=60, seed=3))
+        return synth.dataset, model
+
+    def test_final_solve_reproduces_fitted_scores(self, masked_two_blocks):
+        # fit updates no state after its last score solve
+        data, model = masked_two_blocks
+        H, rho = score_system(
+            data, model.gaussian, model.noise_variance, model.categoricals,
+            [state.expansion for state in model.categoricals],
+        )
+        spec = model.spec
+        scores = solve_scores_batch(H, rho, spec.score_update, spec.ridge_weight)
+        np.testing.assert_allclose(scores.T, model.scores, rtol=1e-12, atol=0)
+
+    def test_score_dataset_matches_pinned_values(self, masked_two_blocks):
+        # pinned before fitting and scoring shared one score-system builder
+        data, model = masked_two_blocks
+        assert model.objective_trace[-1] == pytest.approx(
+            -1303.2102584267327, rel=1e-12
+        )
+        C, loglik = score_dataset(model, data)
+        np.testing.assert_allclose(
+            C[:, :3],
+            [
+                [1.1370792481709902, -1.5323385993169256, -0.3366071267605984],
+                [0.018675377192411115, -1.3920889631338371, -0.46054972328753535],
+            ],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            loglik[:3],
+            [-12.804203379372543, -6.999018587400083, -12.229745961478281],
+            rtol=1e-12,
+        )
+        assert loglik.sum() == pytest.approx(-665.1188365230967, rel=1e-12)
 
 
 class TestPredictiveLikelihood:

@@ -19,7 +19,6 @@ from mmfa import (
     adjusted_counts,
     lse,
     multinomial_e_step,
-    multinomial_score_contribution,
     psi_update,
     softmax_pivot,
 )
@@ -195,7 +194,8 @@ class TestScoreContribution:
         trials = np.zeros(p)
         ztilde = adjusted_counts(counts, trials, psi, d2)
         state = multinomial_e_step(C, trials, ztilde, d2)
-        H, rho = multinomial_score_contribution(state, ztilde, trials, 1)
+        H, rho = multinomial_score_terms(state, ztilde, trials)
+        H, rho = H[1], rho[1]
         np.testing.assert_array_equal(H, 0.0)
         np.testing.assert_allclose(rho, state.loading_mean @ counts[1], atol=1e-12)
 
@@ -207,7 +207,7 @@ class TestScoreContribution:
         ztilde = adjusted_counts(counts, trials, psi, 2)
         state = multinomial_e_step(C, trials, ztilde, 2)
         i = 2
-        H, _ = multinomial_score_contribution(state, ztilde, trials, i)
+        H = multinomial_score_terms(state, ztilde, trials)[0][i]
         phi = state.loading_mean
         expected = trials[i] * (
             0.25 * state.precision_inv
@@ -229,7 +229,8 @@ class TestScoreContribution:
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
         A = CurvatureMatrix(d2).dense()
         i = 3
-        H, rho = multinomial_score_contribution(state, ztilde, trials, i)
+        H, rho = multinomial_score_terms(state, ztilde, trials)
+        H, rho = H[i], rho[i]
 
         def zeta(c):
             Ci = np.kron(np.eye(d2 - 1), c.reshape(k, 1))
