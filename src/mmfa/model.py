@@ -170,7 +170,8 @@ def save_model(model, path):
 
     The write is atomic per file: the sidecar blob and the JSON document
     go to temporary files first and replace the targets, blob first, only
-    once both are complete. A failed write leaves any older model intact.
+    once both are complete. A failed write leaves any older model intact;
+    a successful inline write removes an older model's sidecar blob.
     """
     arrays = _collect_arrays(model)
     total = sum(a.size for a in arrays.values())
@@ -213,6 +214,9 @@ def save_model(model, path):
         raise
     for tmp, target in staged:
         os.replace(tmp, target)
+    if "blob" not in doc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.fspath(path) + ".bin")
     return path
 
 

@@ -2,8 +2,8 @@
 PASS/FAIL line with its measured numbers.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The suite is seeded and
-deterministic apart from the two wall-clock scaling probes (A1 run time
-and A7 ratios), which assume an otherwise idle machine.
+deterministic apart from the wall-clock scaling probe (A7 ratios), which
+assumes an otherwise idle machine.
 """
 
 import json
@@ -45,7 +45,6 @@ def report(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-@pytest.mark.slow
 def test_a1_mse_reaches_crlb():
     """Score MSE at iteration 20 within 2x of the combined bound and below
     both single-modality bounds, on the reference configuration."""
@@ -63,7 +62,6 @@ def test_a1_mse_reaches_crlb():
         iterations=20,
         n_seeds=10,
         seed=100,
-        fisher_replicates=2000,
     )
     result = mse_experiment(config)
     elapsed = time.perf_counter() - start
@@ -277,26 +275,31 @@ def test_a7_linear_complexity_scaling():
     """Per-iteration wall time doubles (ratio in [1.6, 2.6]) when doubling
     the instance count from 5e4 and the category count from 256."""
 
-    def per_iter_time(p, d2, runs=5):
-        times = []
-        for r in range(runs):
-            synth = sample_dataset(
-                GeneratorConfig(
-                    n_factors=3, n_instances=p, n_gaussian=5,
-                    n_categories=(d2,), n_trials=1, noise_variance=1.0, seed=r,
-                )
+    def per_iter_time(p, d2, seed):
+        synth = sample_dataset(
+            GeneratorConfig(
+                n_factors=3, n_instances=p, n_gaussian=5,
+                n_categories=(d2,), n_trials=1, noise_variance=1.0, seed=seed,
             )
-            spec = ModelSpec(
-                n_factors=3, beta=0.5, tol=1e-300, max_iters=5, seed=r
-            )
-            model = fit(synth.dataset, spec)
-            times.append(np.median(model.iteration_seconds[1:]))
-        return float(np.median(times))
+        )
+        spec = ModelSpec(
+            n_factors=3, beta=0.5, tol=1e-300, max_iters=5, seed=seed
+        )
+        return np.median(fit(synth.dataset, spec).iteration_seconds[1:])
 
-    per_iter_time(100_000, 8, runs=1)  # warm allocator and BLAS pools
-    ratio_p = per_iter_time(100_000, 8) / per_iter_time(50_000, 8)
-    per_iter_time(20_000, 512, runs=1)
-    ratio_d = per_iter_time(20_000, 512) / per_iter_time(20_000, 256)
+    def ratio(base, double, runs=5):
+        # the two sizes' runs alternate, so a change in host load between
+        # them moves both medians alike
+        per_iter_time(*double, seed=0)  # warm allocator and BLAS pools
+        times = [
+            [per_iter_time(*size, seed=r) for size in (base, double)]
+            for r in range(runs)
+        ]
+        base_time, double_time = np.median(times, axis=0)
+        return float(double_time / base_time)
+
+    ratio_p = ratio((50_000, 8), (100_000, 8))
+    ratio_d = ratio((20_000, 256), (20_000, 512))
     ok = 1.6 <= ratio_p <= 2.6 and 1.6 <= ratio_d <= 2.6
     report(
         "A7",

@@ -208,7 +208,7 @@ class TestShippedConfigs:
         config = MseExperimentConfig.from_dict(doc)
         assert config.iterations == 100
         assert config.n_seeds == 10
-        assert config.fisher_replicates == 2000
+        assert set(doc) == set(MseExperimentConfig.__dataclass_fields__)
 
     def test_simulate_config_loads(self, tmp_path, capsys):
         import os
@@ -251,15 +251,15 @@ class TestCrlbCommand:
 
 
 class TestMseExperimentCommand:
+    DOC = {
+        "n_instances": 10, "n_gaussian": 3, "n_categories": 3,
+        "n_factors": 2, "n_trials": 4, "noise_variance": 0.5,
+        "iterations": 3, "n_seeds": 1, "seed": 2,
+    }
+
     def test_tiny_run(self, tmp_path, capsys):
-        doc = {
-            "n_instances": 10, "n_gaussian": 3, "n_categories": 3,
-            "n_factors": 2, "n_trials": 4, "noise_variance": 0.5,
-            "iterations": 3, "n_seeds": 1, "seed": 2,
-            "fisher_replicates": 120,
-        }
         path = tmp_path / "mse.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(self.DOC))
         out_path = tmp_path / "mse.csv"
         code, _, _ = run(
             capsys, "mse-experiment", "--config", str(path), "-o", str(out_path)
@@ -270,6 +270,13 @@ class TestMseExperimentCommand:
         ]
         assert lines[0].split(",")[0] == "iteration"
         assert len(lines) == 4  # header + 3 iterations
+
+    def test_removed_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "mse.json"
+        path.write_text(json.dumps({**self.DOC, "fisher_replicates": 120}))
+        code, _, err = run(capsys, "mse-experiment", "--config", str(path))
+        assert code == 1
+        assert "fisher_replicates" in err
 
 
 class TestRankAuc:

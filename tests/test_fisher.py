@@ -1,10 +1,18 @@
 """Fisher information tests: closed-form cases, Monte Carlo consistency,
-and the conditional-Fisher oracle for the concentrated-prior regime."""
+the conditional-Fisher oracle for the concentrated-prior regime, and the
+exact bound of the score-recovery experiment."""
 
 import numpy as np
 import pytest
 
-from mmfa import NumericalError, crlb, gaussian_fisher, multinomial_fisher_mc
+from mmfa import (
+    GeneratorConfig,
+    NumericalError,
+    crlb,
+    gaussian_fisher,
+    multinomial_fisher_mc,
+    sample_dataset,
+)
 from mmfa.expfam import softmax_pivot
 from mmfa.fisher import (
     MseExperimentConfig,
@@ -230,23 +238,56 @@ class TestAlignedMse:
 
 
 class TestMseExperimentSmoke:
+    CONFIG = MseExperimentConfig(
+        n_instances=12,
+        n_gaussian=3,
+        n_categories=3,
+        n_factors=2,
+        n_trials=5,
+        noise_variance=0.5,
+        iterations=4,
+        n_seeds=2,
+        seed=5,
+    )
+
     def test_tiny_configuration_runs(self):
-        config = MseExperimentConfig(
-            n_instances=12,
-            n_gaussian=3,
-            n_categories=3,
-            n_factors=2,
-            n_trials=5,
-            noise_variance=0.5,
-            iterations=4,
-            n_seeds=2,
-            seed=5,
-            fisher_replicates=150,
-        )
-        result = mse_experiment(config)
+        result = mse_experiment(self.CONFIG)
         assert result.mse_mean.shape == (4,)
         rows = list(result.rows())
         assert rows[0]["iteration"] == 1
         assert np.isfinite(result.crlb_total)
         assert result.crlb_total <= result.crlb_gaussian + 1e-9
         assert result.crlb_total <= result.crlb_multinomial + 1e-9
+
+    def test_bounds_exact_at_realized_loadings_and_deterministic(self):
+        config = self.CONFIG
+        totals, multinomials = [], []
+        for rep in range(config.n_seeds):
+            synth = sample_dataset(
+                GeneratorConfig(
+                    n_factors=config.n_factors,
+                    n_instances=config.n_instances,
+                    n_gaussian=config.n_gaussian,
+                    n_categories=(config.n_categories,),
+                    n_trials=config.n_trials,
+                    noise_variance=config.noise_variance,
+                    seed=config.seed + rep,
+                )
+            )
+            V = synth.categorical_loadings[0]
+            for c in synth.scores.T:
+                f_g = gaussian_fisher(
+                    c, mean=synth.gaussian_loadings,
+                    noise_variance=config.noise_variance,
+                )
+                f_m = conditional_multinomial_fisher(c, V, config.n_trials)
+                totals.append(np.trace(np.linalg.inv(f_g + f_m)))
+                multinomials.append(np.trace(np.linalg.inv(f_m)))
+        result = mse_experiment(config)
+        assert result.crlb_total == pytest.approx(np.mean(totals), rel=1e-12)
+        assert result.crlb_multinomial == pytest.approx(
+            np.mean(multinomials), rel=1e-12
+        )
+        again = mse_experiment(config)
+        np.testing.assert_array_equal(again.per_seed_mse, result.per_seed_mse)
+        assert list(again.rows()) == list(result.rows())

@@ -363,6 +363,22 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.scores, old.scores)
         assert loaded.objective_trace == old.objective_trace
 
+    def test_inline_overwrite_removes_old_sidecar(self, tmp_path, monkeypatch):
+        import mmfa.model as model_module
+
+        synth = small_dataset(seed=1, p=10)
+        model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
+        path = tmp_path / "model.mmfa"
+        monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
+        save_model(model, path)
+        assert (tmp_path / "model.mmfa.bin").exists()
+        monkeypatch.undo()
+        save_model(model, path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.mmfa"]
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.scores, model.scores)
+        assert loaded.objective_trace == model.objective_trace
+
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
         model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
