@@ -83,11 +83,14 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
       ridge         - SPD solve of (H + ridge I) c = rho
       nonnegative   - projected gradient on the constrained QP, converged
                       when the componentwise KKT residual drops below 1e-8
-    Returns scores of shape (P, K).
+    Returns scores of shape (P, K). A non-finite entry in H or rho raises
+    NumericalError: the factorizations below would pass it through.
     """
     H = np.asarray(H, dtype=float)
     rho = np.asarray(rho, dtype=float)
     p, k = rho.shape
+    if not (np.isfinite(H).all() and np.isfinite(rho).all()):
+        raise NumericalError("non-finite score system")
     if mode == "nonnegative":
         return _nonneg_qp_batch(H, rho, warm_start)
     lam = ridge_weight if mode == "ridge" else 0.0

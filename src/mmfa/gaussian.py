@@ -10,12 +10,14 @@ sparsely rated data (recommender-style matrices) fit the same code path.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, NumericalError
 
 VARIANCE_FLOOR = 1e-9
+# Instances per block of the Khatri-Rao product C (.) C: a block holds
+# K^2 * KHATRI_RAO_CHUNK floats (1.6 MB at K=10), whatever P is.
+KHATRI_RAO_CHUNK = 2048
 
 
 @dataclass
@@ -47,6 +49,39 @@ def _weights(sigma2, mask):
     return w
 
 
+def _khatri_rao_blocks(C):
+    """Yield (rows, block) over consecutive instance ranges of C (K, P).
+
+    block[i, k*K + l] = C[k, i] * C[l, i] for the instances i in rows, so
+    a (block x K^2) GEMM contracts both score factors of a K^2 P D1 sum.
+    """
+    k, p = C.shape
+    for start in range(0, p, KHATRI_RAO_CHUNK):
+        rows = slice(start, start + KHATRI_RAO_CHUNK)
+        part = C[:, rows].T
+        yield rows, (part[:, :, None] * part[:, None, :]).reshape(-1, k * k)
+
+
+def _quadratic_form(C, cov):
+    """c_i^T cov_j c_i for every instance i and feature j, shape (P, D1)."""
+    d1, k, _ = cov.shape
+    cov_flat = cov.reshape(d1, k * k).T
+    quad = np.empty((C.shape[1], d1))
+    for rows, block in _khatri_rao_blocks(C):
+        quad[rows] = block @ cov_flat
+    return quad
+
+
+def _cholesky(matrices):
+    """Lower Cholesky factors, or None unless every matrix is finite and
+    positive definite (np.linalg.cholesky passes NaN through)."""
+    try:
+        chol = np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if np.isfinite(chol).all() else None
+
+
 def gaussian_e_step(C, sigma2, Y, mask=None):
     """Exact loading posteriors given scores and per-entry noise variances.
 
@@ -57,9 +92,12 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
     Y : (P, D1) observations.
     mask : optional (P, D1) boolean, True where observed.
 
-    Returns a :class:`GaussianState`. The per-feature precision
-    C diag(w_j) C^T + I is symmetric positive definite by construction,
-    so it is inverted through a Cholesky factorization.
+    Returns a :class:`GaussianState`. The precisions C diag(w_j) C^T + I
+    of all D1 features come from one GEMM per block of the Khatri-Rao
+    product C (.) C. They are symmetric positive definite by construction
+    and are factored by one batched Cholesky call, L_j L_j^T, giving
+    cov_j = L_j^-T L_j^-1. A precision that is not finite or not positive
+    definite raises NumericalError naming the first such feature.
     """
     C = np.asarray(C, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -74,22 +112,19 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
     d1 = Y.shape[1]
     w = _weights(sigma2, mask)
 
-    prec = np.einsum("kp,pj,lp->jkl", C, w, C)
-    prec += np.eye(k)
+    prec_flat = np.zeros((k * k, d1))
+    for rows, block in _khatri_rao_blocks(C):
+        prec_flat += block.T @ w[rows]
+    prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
     rhs = C @ (w * Y)  # (K, D1)
 
-    mean = np.empty((d1, k))
-    cov = np.empty((d1, k, k))
-    eye = np.eye(k)
-    for j in range(d1):
-        try:
-            factor = cho_factor(prec[j], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"loading posterior factorization failed for feature {j}"
-            ) from exc
-        cov[j] = cho_solve(factor, eye)
-        mean[j] = cov[j] @ rhs[:, j]
+    chol = _cholesky(prec)
+    if chol is None:
+        j = next((j for j, m in enumerate(prec) if _cholesky(m) is None), None)
+        raise NumericalError(f"loading posterior factorization failed for feature {j}")
+    chol_inv = np.linalg.inv(chol)
+    cov = np.matmul(chol_inv.transpose(0, 2, 1), chol_inv)
+    mean = np.matmul(cov, rhs.T[:, :, None])[:, :, 0]
     return GaussianState(mean=mean, cov=cov)
 
 
@@ -109,7 +144,7 @@ def gaussian_m_step(state, C, Y, mask=None, alpha=1.0, beta=0.1):
     C = np.asarray(C, dtype=float)
     Y = np.asarray(Y, dtype=float)
     resid = Y - C.T @ state.mean.T
-    quad = np.einsum("kp,jkl,lp->pj", C, state.cov, C)
+    quad = _quadratic_form(C, state.cov)
     sigma2 = (resid**2 + quad + 2.0 / beta) / (2.0 * (alpha + 1.0) + 1.0)
     if mask is not None:
         sigma2 = np.where(mask, sigma2, prior_mode_variance(alpha, beta))
@@ -127,8 +162,9 @@ def gaussian_score_terms(state, sigma2, Y, mask=None):
     over the observed features of instance i.
     """
     w = _weights(np.asarray(sigma2, dtype=float), mask)
-    second_moment = state.cov + np.einsum("jk,jl->jkl", state.mean, state.mean)
-    H = np.einsum("pj,jkl->pkl", w, second_moment)
+    d1, k = state.mean.shape
+    second_moment = state.cov + state.mean[:, :, None] * state.mean[:, None, :]
+    H = (w @ second_moment.reshape(d1, k * k)).reshape(-1, k, k)
     rho = (w * np.asarray(Y, dtype=float)) @ state.mean
     return H, rho
 
@@ -140,7 +176,7 @@ def expected_gaussian_loglik(state, sigma2, C, Y, mask=None):
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     resid = np.asarray(Y, dtype=float) - C.T @ state.mean.T
-    quad = np.einsum("kp,jkl,lp->pj", C, state.cov, C)
+    quad = _quadratic_form(C, state.cov)
     terms = -0.5 * (np.log(2.0 * np.pi * sigma2) + (resid**2 + quad) / sigma2)
     if mask is not None:
         terms = np.where(mask, terms, 0.0)

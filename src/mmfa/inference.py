@@ -127,7 +127,7 @@ def _gaussian_predictive(model, C, Y, mask, sigma2):
     """
     state = model.gaussian
     mu = C.T @ state.mean.T
-    var = np.einsum("kp,jkl,lp->pj", C, state.cov, C) + sigma2
+    var = gmod._quadratic_form(C, state.cov) + sigma2
     terms = -0.5 * (np.log(2.0 * np.pi * var) + (Y - mu) ** 2 / var)
     return np.where(mask, terms, 0.0).sum(axis=1)
 

@@ -21,6 +21,7 @@ from mmfa import (
     select_k,
     surrogate_objective,
 )
+from mmfa import gaussian as gmod
 from mmfa.engine import solve_scores_batch
 
 
@@ -62,6 +63,18 @@ class TestUpdateScores:
         H = np.zeros((2, 2))
         with pytest.raises(NumericalError, match="ridge"):
             solve_one(H, np.ones(2))
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    @pytest.mark.parametrize("bad", ["H", "rho"])
+    def test_non_finite_system_raises(self, mode, bad):
+        H = np.stack([np.eye(2)] * 3)
+        rho = np.ones((3, 2))
+        if bad == "H":
+            H[1, 0, 0] = np.nan
+        else:
+            rho[2, 1] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_scores_batch(H, rho, mode, 1e-6)
 
     def test_nonnegative_matches_active_set_enumeration(self):
         rng = np.random.default_rng(5)
@@ -132,6 +145,23 @@ class TestFitContracts:
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.noise_variance, b.noise_variance)
         assert a.objective_trace == b.objective_trace
+
+    def test_deterministic_across_khatri_rao_blocks(self):
+        # the Gaussian kernels sum BLAS GEMMs over blocks of instances;
+        # two fits in one process must agree bit for bit
+        cfg = GeneratorConfig(
+            n_factors=3, n_instances=2 * gmod.KHATRI_RAO_CHUNK + 300,
+            n_gaussian=12, n_categories=(5,), n_trials=4,
+            missing_fraction=0.2, seed=21,
+        )
+        synth = sample_dataset(cfg)
+        spec = ModelSpec(n_factors=3, tol=1e-300, max_iters=4, seed=5)
+        a = fit(synth.dataset, spec)
+        b = fit(synth.dataset, spec)
+        assert a.objective_trace == b.objective_trace
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.noise_variance, b.noise_variance)
+        np.testing.assert_array_equal(a.gaussian.cov, b.gaussian.cov)
 
     def test_gaussian_only_recovers_structure(self):
         # no categorical block: plain Bayesian factor analysis; recovered

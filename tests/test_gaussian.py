@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import multivariate_normal, norm
 
-from mmfa import gaussian_e_step
+from mmfa import NumericalError, gaussian_e_step
+from mmfa import gaussian as gmod
 from mmfa.gaussian import (
     GaussianState,
     gaussian_m_step as m_step,
@@ -85,6 +87,20 @@ class TestEStep:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             gaussian_e_step(np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+
+    def test_nan_scores_raise_numerical_error(self):
+        C = np.ones((2, 3))
+        C[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="feature 0"):
+            gaussian_e_step(C, np.ones((3, 2)), np.ones((3, 2)))
+
+    def test_non_pd_precision_names_feature(self):
+        # weights 2^71 on two identical score vectors: every precision
+        # entry of feature 1 rounds to 2^72, a singular matrix
+        sigma2 = np.ones((2, 3))
+        sigma2[:, 1] = 2.0**-71
+        with pytest.raises(NumericalError, match="feature 1"):
+            gaussian_e_step(np.ones((2, 2)), sigma2, np.ones((2, 3)))
 
     def test_exactness_constant_log_ratio(self):
         # p(y_j, u_j) evaluated at sampled u is proportional to the returned
@@ -223,3 +239,72 @@ class TestScoreContribution:
         H, _ = gaussian_score_terms(state, sigma2, Y)
         for i in range(p):
             np.linalg.cholesky(H[i] + 0.0 * np.eye(k))  # jitter 0
+
+
+def reference_e_step(C, sigma2, Y, mask):
+    """Per-feature einsum precision and cho_factor/cho_solve inverse."""
+    w = np.where(mask, 1.0 / sigma2, 0.0)
+    k = C.shape[0]
+    prec = np.einsum("kp,pj,lp->jkl", C, w, C) + np.eye(k)
+    rhs = C @ (w * Y)
+    cov = np.stack([cho_solve(cho_factor(m, lower=True), np.eye(k)) for m in prec])
+    mean = np.stack([cov[j] @ rhs[:, j] for j in range(len(cov))])
+    return mean, cov
+
+
+def reference_quadratic_form(C, cov):
+    return np.einsum("kp,jkl,lp->pj", C, cov, C)
+
+
+def reference_score_H(state, sigma2, mask):
+    w = np.where(mask, 1.0 / sigma2, 0.0)
+    second_moment = state.cov + np.einsum("jk,jl->jkl", state.mean, state.mean)
+    return np.einsum("pj,jkl->pkl", w, second_moment)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
+
+
+class TestKernelsMatchReference:
+    """The Khatri-Rao GEMM kernels against the einsum/cho_solve forms."""
+
+    @pytest.mark.parametrize(
+        "p, chunk, layout, masked_rows",
+        [
+            (1, None, "C", False),
+            (23, 5, "C", False),  # four full blocks and a remainder of 3
+            (23, 5, "F", True),
+            (40, None, "F", False),  # C transposed from (P, K), as fit passes it
+            (40, None, "C", True),
+        ],
+    )
+    def test_kernels(self, monkeypatch, p, chunk, layout, masked_rows):
+        if chunk is not None:
+            monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", chunk)
+        rng = np.random.default_rng(p + (chunk or 0))
+        k, d1 = 3, 4
+        C = rng.standard_normal((k, p))
+        if layout == "F":
+            C = np.ascontiguousarray(C.T).T
+            assert C.flags.f_contiguous and not C.flags.c_contiguous
+        sigma2 = rng.uniform(0.2, 3.0, (p, d1))
+        Y = rng.standard_normal((p, d1))
+        mask = rng.random((p, d1)) < 0.7
+        if masked_rows:
+            mask[1::4] = False  # every fourth instance fully masked
+        mask[0] = True
+
+        state = gaussian_e_step(C, sigma2, Y, mask)
+        mean, cov = reference_e_step(C, sigma2, Y, mask)
+        assert_rel_close(state.mean, mean)
+        assert_rel_close(state.cov, cov)
+
+        assert_rel_close(gmod._quadratic_form(C, cov), reference_quadratic_form(C, cov))
+
+        ref_state = GaussianState(mean=mean, cov=cov)
+        H, rho = gaussian_score_terms(ref_state, sigma2, Y, mask)
+        assert_rel_close(H, reference_score_H(ref_state, sigma2, mask))
+        if masked_rows:
+            np.testing.assert_array_equal(H[1::4], 0.0)
+            np.testing.assert_array_equal(rho[1::4], 0.0)
