@@ -36,24 +36,48 @@ def _prior_multinomial_state(n_categories, k, p):
     )
 
 
-def _objective(data, spec, C, gauss_state, noise_variance, cat_states):
-    total = 0.0
+def _objective(data, spec, C, H, rho, gauss_state, noise_variance, cat_states,
+               log_coefficient):
+    """Surrogate objective at scores C from the score system (H, rho).
+
+    With every other part of the state held fixed the objective is
+    sum_i (rho_i^T c_i - c_i^T H_i c_i / 2) plus terms free of the
+    scores, where (H, rho) is the unridged :func:`score_system` at that
+    state; log_coefficient is the data-only multinomial log-coefficient
+    summed over every block and instance.
+    """
+    Ct = C.T
+    Hc = np.einsum("pkl,pl->pk", H, Ct)
+    total = float(np.sum(Ct * (rho - 0.5 * Hc))) + log_coefficient
     if data.gaussian is not None:
-        total += gmod.gaussian_elbo_terms(
-            gauss_state,
-            noise_variance,
-            C,
-            data.gaussian,
-            data.mask,
-            spec.alpha,
-            spec.beta,
+        total += gmod.gaussian_score_free_terms(
+            gauss_state, noise_variance, data.gaussian, data.mask,
+            spec.alpha, spec.beta,
         )
     for state, block in zip(cat_states, data.categoricals):
-        total += mmod.multinomial_elbo_terms(state, block, C)
+        total += mmod.multinomial_score_free_terms(state, block.trials)
     lam = spec.effective_ridge
     if lam > 0:
         total -= 0.5 * lam * float(np.sum(C**2))
     return float(total)
+
+
+def _log_coefficient(data):
+    """Multinomial log-coefficient summed over every block and instance."""
+    return float(sum(
+        mmod.log_multinomial_coefficient(block.counts, block.trials).sum()
+        for block in data.categoricals
+    ))
+
+
+def _adjusted_counts(data, cat_states):
+    """Adjusted counts of every categorical block at its expansion points."""
+    return [
+        mmod.adjusted_counts(
+            block.counts, block.trials, state.expansion, block.n_categories
+        )
+        for block, state in zip(data.categoricals, cat_states)
+    ]
 
 
 def surrogate_objective(model, data):
@@ -61,17 +85,18 @@ def surrogate_objective(model, data):
 
     The exact Gaussian evidence terms plus the bounded multinomial terms,
     each with their prior and posterior-entropy parts, minus the ridge
-    penalty when that score mode is active. Deterministic given the model
-    state; this is the quantity whose trace :func:`fit` records.
+    penalty when that score mode is active. It is read off the score
+    system built at the model's state by :func:`score_system`, the same
+    path :func:`fit` takes, so it reproduces the last entry of the fit's
+    trace. Deterministic given the model state.
     """
     model.check_compatible(data)
+    state = (model.gaussian, model.noise_variance, model.categoricals)
+    H, rho = score_system(
+        data, *state, _adjusted_counts(data, model.categoricals)
+    )
     return _objective(
-        data,
-        model.spec,
-        model.scores,
-        model.gaussian,
-        model.noise_variance,
-        model.categoricals,
+        data, model.spec, model.scores, H, rho, *state, _log_coefficient(data)
     )
 
 
@@ -83,25 +108,53 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
       ridge         - SPD solve of (H + ridge I) c = rho
       nonnegative   - projected gradient on the constrained QP, converged
                       when the componentwise KKT residual drops below 1e-8
-    Returns scores of shape (P, K). A non-finite entry in H or rho raises
-    NumericalError: the factorizations below would pass it through.
+    The SPD modes factor each system once, L L^T, by a Cholesky vectorized
+    across instances, then substitute forward and back against L. Returns
+    scores of shape (P, K). A non-finite entry in H or rho raises
+    NumericalError, and so does a pivot that is not positive: the system
+    is then singular or indefinite.
     """
     H = np.asarray(H, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    p, k = rho.shape
     if not (np.isfinite(H).all() and np.isfinite(rho).all()):
         raise NumericalError("non-finite score system")
     if mode == "nonnegative":
         return _nonneg_qp_batch(H, rho, warm_start)
     lam = ridge_weight if mode == "ridge" else 0.0
-    system = H + lam * np.eye(k)
-    try:
-        np.linalg.cholesky(system)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "singular score system; add ridge regularization (score_update='ridge')"
-        ) from exc
-    return np.linalg.solve(system, rho[..., None])[..., 0]
+    L = _cholesky_batch(H, lam)
+    k = L.shape[0]
+    x = np.array(rho.T)  # (K, P)
+    for j in range(k):
+        x[j] -= np.einsum("mp,mp->p", L[j, :j], x[:j])
+        x[j] /= L[j, j]
+    for j in reversed(range(k)):
+        x[j] -= np.einsum("mp,mp->p", L[j + 1:, j], x[j + 1:])
+        x[j] /= L[j, j]
+    return x.T
+
+
+def _cholesky_batch(H, lam):
+    """Lower Cholesky factors of H_i + lam I in a (K, K, P) array.
+
+    One loop over the K columns; each step works on all instances at
+    once along the last axis. The factor fills the lower triangle; the
+    strict upper triangle keeps the entries of H and is never read.
+    """
+    k = H.shape[1]
+    L = np.array(H.transpose(1, 2, 0), order="C")
+    for j in range(k):
+        done = L[j, :j]
+        pivot = L[j, j] + lam - np.einsum("mp,mp->p", done, done)
+        if not (np.isfinite(pivot) & (pivot > 0)).all():
+            raise NumericalError(
+                "singular score system; add ridge regularization "
+                "(score_update='ridge')"
+            )
+        L[j, j] = np.sqrt(pivot)
+        below = L[j + 1:, j]
+        below -= np.einsum("imp,mp->ip", L[j + 1:, :j], done)
+        below /= L[j, j]
+    return L
 
 
 def _nonneg_qp_batch(H, rho, warm_start):
@@ -111,7 +164,7 @@ def _nonneg_qp_batch(H, rho, warm_start):
     lipschitz = np.maximum(evals[:, -1], 1e-12)[:, None]
     for _ in range(NONNEG_MAX_ITERS):
         grad = np.einsum("pkl,pl->pk", H, c) - rho
-        kkt = np.abs(np.minimum(c, grad)).max()
+        kkt = np.abs(np.minimum(c, grad)).max(initial=0.0)
         if kkt < NONNEG_KKT_TOL:
             break
         c = np.maximum(c - grad / lipschitz, 0.0)
@@ -120,32 +173,28 @@ def _nonneg_qp_batch(H, rho, warm_start):
     return c
 
 
-def score_system(data, gauss_state, sigma2, cat_states, expansions):
+def score_system(data, gauss_state, sigma2, cat_states, ztildes):
     """Stacked score quadratic programs (H, rho) of every instance.
 
     Sums the Gaussian terms at noise variances sigma2 and, for each
-    categorical block, the bounded multinomial terms at its expansion
-    points. Fitting and scoring both solve this system.
+    categorical block, the bounded multinomial terms at its adjusted
+    counts ztilde (:func:`multinomial.adjusted_counts` at the block's
+    expansion points). Fitting and scoring both solve this system, and
+    the fit reads its objective off it.
     """
     H = rho = 0.0
     if data.gaussian is not None:
         H, rho = gmod.gaussian_score_terms(
             gauss_state, sigma2, data.gaussian, data.mask
         )
-    for state, block, psi in zip(cat_states, data.categoricals, expansions):
-        ztilde = mmod.adjusted_counts(
-            block.counts, block.trials, psi, block.n_categories
-        )
+    for state, block, ztilde in zip(cat_states, data.categoricals, ztildes):
         Hm, rm = mmod.multinomial_score_terms(state, ztilde, block.trials)
         H += Hm
         rho += rm
     return H, rho
 
 
-def _categorical_sweep(block, C, expansion):
-    ztilde = mmod.adjusted_counts(
-        block.counts, block.trials, expansion, block.n_categories
-    )
+def _categorical_sweep(block, C, ztilde):
     state = mmod.multinomial_e_step(C, block.trials, ztilde, block.n_categories)
     state.expansion = mmod.psi_update(state.loading_mean, C)
     return state
@@ -158,6 +207,13 @@ def fit(data, spec, callback=None):
     below spec.tol or spec.max_iters is reached. An infinite tol runs
     exactly one iteration and reports converged=False, which is useful
     for smoke tests.
+
+    Each iteration updates the Gaussian posterior and noise variances,
+    sweeps every categorical block, builds the score system once with
+    :func:`score_system` and solves it for the new scores. The objective
+    recorded for the iteration is read off that same system at the new
+    scores, and the adjusted counts at each block's new expansion points
+    are computed once and serve both this system and the next sweep.
 
     callback, if given, is invoked after every iteration as
     callback(iteration, snapshot) where snapshot is a FittedModel sharing
@@ -189,7 +245,15 @@ def fit(data, spec, callback=None):
         _prior_multinomial_state(b.n_categories, k, p) for b in data.categoricals
     ]
 
-    trace = [_objective(data, spec, C, gauss_state, sigma2, cat_states)]
+    log_coefficient = _log_coefficient(data)
+    ztildes = _adjusted_counts(data, cat_states)
+    trace = [
+        _objective(
+            data, spec, C,
+            *score_system(data, gauss_state, sigma2, cat_states, ztildes),
+            gauss_state, sigma2, cat_states, log_coefficient,
+        )
+    ]
     seconds = []
     stopped_early = False
     iterations = 0
@@ -201,21 +265,25 @@ def fit(data, spec, callback=None):
                 sigma2 = gmod.gaussian_m_step(
                     gauss_state, C, data.gaussian, data.mask, spec.alpha, spec.beta
                 )
+            # the adjusted counts at the new expansion points feed both this
+            # score system and the next iteration's categorical sweep
             cat_states = [
-                _categorical_sweep(block, C, state.expansion)
-                for block, state in zip(data.categoricals, cat_states)
+                _categorical_sweep(block, C, ztilde)
+                for block, ztilde in zip(data.categoricals, ztildes)
             ]
-            H, rho = score_system(
-                data, gauss_state, sigma2, cat_states,
-                [state.expansion for state in cat_states],
-            )
+            ztildes = _adjusted_counts(data, cat_states)
+            H, rho = score_system(data, gauss_state, sigma2, cat_states, ztildes)
             C = solve_scores_batch(
                 H, rho, spec.score_update, spec.ridge_weight, warm_start=C.T
             ).T
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
 
-        objective = _objective(data, spec, C, gauss_state, sigma2, cat_states)
+        objective = _objective(
+            data, spec, C, H, rho, gauss_state, sigma2, cat_states,
+            log_coefficient,
+        )
+        del H, rho  # free the K^2 P stack before the next one is built
         seconds.append(time.perf_counter() - start)
         trace.append(objective)
         iterations = iteration

@@ -49,6 +49,13 @@ def _weights(sigma2, mask):
     return w
 
 
+def _observed(Y, mask):
+    """Y with masked-out entries set to 0: a hidden entry may hold NaN,
+    and a zero weight times NaN is still NaN."""
+    Y = np.asarray(Y, dtype=float)
+    return Y if mask is None else np.where(mask, Y, 0.0)
+
+
 def _khatri_rao_blocks(C):
     """Yield (rows, block) over consecutive instance ranges of C (K, P).
 
@@ -116,7 +123,7 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
     for rows, block in _khatri_rao_blocks(C):
         prec_flat += block.T @ w[rows]
     prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
-    rhs = C @ (w * Y)  # (K, D1)
+    rhs = C @ (w * _observed(Y, mask))  # (K, D1)
 
     chol = _cholesky(prec)
     if chol is None:
@@ -165,32 +172,34 @@ def gaussian_score_terms(state, sigma2, Y, mask=None):
     d1, k = state.mean.shape
     second_moment = state.cov + state.mean[:, :, None] * state.mean[:, None, :]
     H = (w @ second_moment.reshape(d1, k * k)).reshape(-1, k, k)
-    rho = (w * np.asarray(Y, dtype=float)) @ state.mean
+    rho = (w * _observed(Y, mask)) @ state.mean
     return H, rho
 
 
-def expected_gaussian_loglik(state, sigma2, C, Y, mask=None):
-    """Expected data log-density under the loading posteriors, per instance.
+def gaussian_score_free_terms(state, sigma2, Y, mask, alpha, beta):
+    """Part of the Gaussian objective contribution free of the scores.
 
-    E_q[log N(y_ij ; u_j.c_i, sigma2_ij)] summed over observed features j.
+    The full contribution is the expected data log-density, the loading
+    prior cross-entropy, the loading posterior entropy and the
+    inverse-gamma log prior of the observed noise variances. Expanding
+    E_q[(y_ij - u_j.c_i)^2] = y_ij^2 - 2 y_ij mean_j.c_i
+    + c_i^T (cov_j + mean_j mean_j^T) c_i leaves the score-dependent part
+    rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
+    :func:`gaussian_score_terms`; this returns everything else.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
-    resid = np.asarray(Y, dtype=float) - C.T @ state.mean.T
-    quad = _quadratic_form(C, state.cov)
-    terms = -0.5 * (np.log(2.0 * np.pi * sigma2) + (resid**2 + quad) / sigma2)
-    if mask is not None:
-        terms = np.where(mask, terms, 0.0)
-    return terms.sum(axis=1)
-
-
-def gaussian_elbo_terms(state, sigma2, C, Y, mask, alpha, beta):
-    """Full Gaussian contribution to the surrogate objective.
-
-    Data term + loading prior cross-entropy + loading posterior entropy +
-    inverse-gamma log prior of the observed noise variances.
-    """
+    Y = np.asarray(Y, dtype=float)
     k = state.n_factors
-    total = expected_gaussian_loglik(state, sigma2, C, Y, mask).sum()
+    rate = 1.0 / beta
+    # per observed entry: -log(2 pi sigma2)/2 - y^2 / (2 sigma2) from the
+    # data term plus log InvGamma(sigma2; alpha, rate 1/beta)
+    per_entry = (alpha + 1.5) * np.log(sigma2) + (0.5 * Y * Y + rate) / sigma2
+    n_obs = per_entry.size
+    if mask is not None:
+        per_entry = np.where(mask, per_entry, 0.0)  # a hidden y may be NaN
+        n_obs = np.count_nonzero(mask)
+    total = n_obs * (-0.5 * np.log(2.0 * np.pi) + alpha * np.log(rate) - gammaln(alpha))
+    total -= per_entry.sum()
     # E_q[log N(u_j; 0, I)] + H(q_j) per feature
     sign, logdet = np.linalg.slogdet(state.cov)
     if np.any(sign <= 0):
@@ -199,14 +208,4 @@ def gaussian_elbo_terms(state, sigma2, C, Y, mask, alpha, beta):
     total += np.sum(
         -0.5 * (np.sum(state.mean**2, axis=1) + traces) + 0.5 * logdet + 0.5 * k
     )
-    # log InvGamma(sigma2_ij; alpha, rate 1/beta) over observed entries
-    rate = 1.0 / beta
-    logprior = (
-        alpha * np.log(rate)
-        - gammaln(alpha)
-        - (alpha + 1.0) * np.log(sigma2)
-        - rate / sigma2
-    )
-    if mask is not None:
-        logprior = np.where(mask, logprior, 0.0)
-    return total + logprior.sum()
+    return float(total)

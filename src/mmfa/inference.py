@@ -87,8 +87,12 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
         np.zeros((p, state.n_categories - 1)) for state in model.categoricals
     ]
     for _ in range(max_inner):
+        ztildes = [
+            mmod.adjusted_counts(block.counts, block.trials, psi, block.n_categories)
+            for block, psi in zip(data.categoricals, expansions)
+        ]
         H, rho = score_system(
-            data, model.gaussian, sigma2, model.categoricals, expansions
+            data, model.gaussian, sigma2, model.categoricals, ztildes
         )
         new_C = solve_scores_batch(
             H, rho, spec.score_update, spec.ridge_weight, warm_start=C

@@ -223,51 +223,72 @@ def multinomial_score_terms(state, ztilde, trials):
     return H, rho
 
 
+def log_multinomial_coefficient(counts, trials):
+    """log N_i! - sum_d log z_id! per instance, pivot category included.
+
+    Depends on the data only, so a fit computes it once."""
+    counts = np.asarray(counts, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    pivot = trials - counts.sum(axis=1)
+    return (
+        gammaln(trials + 1.0)
+        - gammaln(counts + 1.0).sum(axis=1)
+        - gammaln(pivot + 1.0)
+    )
+
+
+def _bound_offset(expansion, n_categories):
+    """Constant-in-eta remainder of the bound at the expansion points:
+    lse(psi) - psi^T softmax(psi) + psi^T A psi / 2."""
+    probs = softmax_pivot(expansion)[..., :-1]
+    return (
+        lse(expansion)
+        - np.sum(expansion * probs, axis=-1)
+        + 0.5 * CurvatureMatrix(n_categories).quad(expansion)
+    )
+
+
 def expected_bound_loglik(state, counts, trials, expansion, C):
     """Per-instance expectation of the bounded data log-likelihood.
 
     E_q[ z^T eta - N * bound(eta; psi) + log multinomial coefficient ]
     under eta = loadings^T c with the current Gaussian posterior. This is
-    the quantity the EM loop drives upward and the (lower-bound) term
-    reported by predictive evaluation.
+    the (lower-bound) term reported by predictive evaluation; it equals
+    rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
+    :func:`multinomial_score_terms`, plus the offset and coefficient terms.
     """
     counts = np.asarray(counts, dtype=float)
     trials = np.asarray(trials, dtype=float)
     expansion = np.asarray(expansion, dtype=float)
     C = np.asarray(C, dtype=float)
-    curv = state.curvature()
 
     ztilde = adjusted_counts(counts, trials, expansion, state.n_categories)
-    # constant-in-eta remainder of the bound at the expansion point
-    probs = softmax_pivot(expansion)[..., :-1]
-    offset = (
-        lse(expansion)
-        - np.sum(expansion * probs, axis=-1)
-        + 0.5 * curv.quad(expansion)
-    )
     base = score_base(state)
     quad = np.einsum("kp,kl,lp->p", C, base, C)
     linear = np.sum((ztilde @ state.loading_mean.T) * C.T, axis=1)
-    pivot = trials - counts.sum(axis=1)
-    log_coeff = (
-        gammaln(trials + 1.0)
-        - gammaln(counts + 1.0).sum(axis=1)
-        - gammaln(pivot + 1.0)
+    offset = _bound_offset(expansion, state.n_categories)
+    return (
+        log_multinomial_coefficient(counts, trials)
+        + linear
+        - 0.5 * trials * quad
+        - trials * offset
     )
-    return log_coeff + linear - 0.5 * trials * quad - trials * offset
 
 
-def multinomial_elbo_terms(state, data, C):
-    """Full modality contribution to the surrogate objective.
+def multinomial_score_free_terms(state, trials):
+    """Part of the modality's objective contribution free of the scores.
 
-    Expected bounded log-likelihood plus the loading prior cross-entropy
-    and posterior entropy, all evaluated with the structured covariance.
+    The full contribution is the expected bounded log-likelihood plus the
+    loading prior cross-entropy and posterior entropy, all evaluated with
+    the structured covariance. Its score-dependent part is
+    rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
+    :func:`multinomial_score_terms`; this returns everything else except
+    the data-only :func:`log_multinomial_coefficient`.
     """
     k = state.n_factors
     d = state.n_categories - 1
-    total = expected_bound_loglik(
-        state, data.counts, data.trials, state.expansion, C
-    ).sum()
+    offset = _bound_offset(state.expansion, state.n_categories)
+    total = -float(np.asarray(trials, dtype=float) @ offset)
     tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
     total += -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
     # log det of the structured covariance: (d-1) blocks of inv(precision)

@@ -21,7 +21,9 @@ from mmfa import (
     select_k,
     surrogate_objective,
 )
+from mmfa import engine
 from mmfa import gaussian as gmod
+from mmfa import multinomial as mmod
 from mmfa.engine import solve_scores_batch
 
 
@@ -102,6 +104,30 @@ class TestUpdateScores:
                         best = (value, c)
                 assert best is not None
                 np.testing.assert_allclose(got, best[1], atol=1e-7)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("p", [1, 7, 2000])
+    @pytest.mark.parametrize("mode,lam", [("unconstrained", 0.0), ("ridge", 0.3)])
+    def test_matches_dense_solve(self, k, p, mode, lam):
+        rng = np.random.default_rng(100 * k + p)
+        M = rng.standard_normal((p, k, 2 * k + 3))
+        H = M @ M.transpose(0, 2, 1) / (2 * k + 3) + 0.1 * np.eye(k)
+        rho = rng.standard_normal((p, k))
+        before = H.copy()
+        got = solve_scores_batch(H, rho, mode, lam)
+        want = np.linalg.solve(H + lam * np.eye(k), rho[..., None])[..., 0]
+        error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert error.max() <= 1e-12
+        np.testing.assert_array_equal(H, before)
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge"])
+    def test_one_non_pd_row_raises(self, mode):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((9, 3, 5))
+        H = M @ M.transpose(0, 2, 1)
+        H[5] = np.diag([2.0, -1.0, 3.0])  # indefinite even with the ridge
+        with pytest.raises(NumericalError, match="singular score system"):
+            solve_scores_batch(H, rng.standard_normal((9, 3)), mode, 1e-6)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(9)
@@ -286,6 +312,112 @@ class TestSurrogateObjective:
         assert surrogate_objective(model, synth.dataset) == pytest.approx(
             model.objective_trace[-1], abs=1e-9
         )
+
+
+def reference_objective(data, spec, C, gauss_state, sigma2, cat_states):
+    """The surrogate objective term by term: residual and quadratic-form
+    expected Gaussian log-likelihood, the expected bounded multinomial
+    log-likelihood, and every prior and entropy term."""
+    total = 0.0
+    if data.gaussian is not None:
+        k = gauss_state.n_factors
+        mask = data.observed_mask()
+        resid = data.gaussian - C.T @ gauss_state.mean.T
+        quad = np.einsum("kp,jkl,lp->pj", C, gauss_state.cov, C)
+        loglik = -0.5 * (np.log(2 * np.pi * sigma2) + (resid**2 + quad) / sigma2)
+        total += np.where(mask, loglik, 0.0).sum()
+        _, logdet = np.linalg.slogdet(gauss_state.cov)
+        traces = np.trace(gauss_state.cov, axis1=1, axis2=2)
+        total += np.sum(
+            -0.5 * (np.sum(gauss_state.mean**2, axis=1) + traces)
+            + 0.5 * logdet + 0.5 * k
+        )
+        rate = 1.0 / spec.beta
+        logprior = (
+            spec.alpha * np.log(rate) - gammaln(spec.alpha)
+            - (spec.alpha + 1.0) * np.log(sigma2) - rate / sigma2
+        )
+        total += np.where(mask, logprior, 0.0).sum()
+    for state, block in zip(cat_states, data.categoricals):
+        k, d = state.n_factors, state.n_categories - 1
+        total += mmod.expected_bound_loglik(
+            state, block.counts, block.trials, state.expansion, C
+        ).sum()
+        tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
+        total += -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
+        _, logdet_prec = np.linalg.slogdet(state.precision)
+        _, logdet_ones = np.linalg.slogdet(state.precision_inv + d * state.cross_cov)
+        total += 0.5 * (-(d - 1) * logdet_prec + logdet_ones)
+    return total - 0.5 * spec.effective_ridge * np.sum(C**2)
+
+
+def objective_datasets():
+    two_blocks = sample_dataset(
+        GeneratorConfig(
+            n_factors=2, n_instances=50, n_gaussian=5, n_categories=(4, 3),
+            n_trials=6, noise_variance=0.5, missing_fraction=0.3, seed=8,
+        )
+    ).dataset
+    gaussian_only = small_dataset(seed=9, with_missing=True).dataset
+    gaussian_only = HeteroDataset(gaussian=gaussian_only.gaussian, mask=gaussian_only.mask)
+    categorical_only = HeteroDataset(categoricals=two_blocks.categoricals)
+    empty = HeteroDataset(
+        gaussian=np.zeros((0, 3)),
+        categoricals=[
+            MultinomialData(counts=np.zeros((0, 2)), trials=np.zeros(0), n_categories=3)
+        ],
+    )
+    return {
+        "masked-two-block": two_blocks,
+        "gaussian-only": gaussian_only,
+        "categorical-only": categorical_only,
+        "empty": empty,
+    }
+
+
+class TestObjectiveFromScoreSystem:
+    """The objective read off the score system equals the term-by-term sum."""
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only", "empty"]
+    )
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    def test_matches_termwise_objective(self, dataset, mode):
+        data = objective_datasets()[dataset]
+        spec = ModelSpec(
+            n_factors=2, score_update=mode, ridge_weight=0.4, max_iters=4, seed=6
+        )
+        model = fit(data, spec)
+        rng = np.random.default_rng(11)
+        C = rng.standard_normal((2, data.n_instances))  # not the fitted optimum
+        if mode == "nonnegative":
+            C = np.abs(C)
+        H, rho = engine.score_system(
+            data, model.gaussian, model.noise_variance, model.categoricals,
+            engine._adjusted_counts(data, model.categoricals),
+        )
+        got = engine._objective(
+            data, spec, C, H, rho, model.gaussian, model.noise_variance,
+            model.categoricals, engine._log_coefficient(data),
+        )
+        want = reference_objective(
+            data, spec, C, model.gaussian, model.noise_variance, model.categoricals
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_adjusted_counts_once_per_block_per_iteration(self, monkeypatch):
+        calls = []
+        original = mmod.adjusted_counts
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mmod, "adjusted_counts", counting)
+        data = objective_datasets()["masked-two-block"]
+        model = fit(data, ModelSpec(n_factors=2, max_iters=7, seed=1))
+        assert model.iterations_run == 7
+        assert len(calls) == 2 * (model.iterations_run + 1)
 
 
 class TestSelectK:

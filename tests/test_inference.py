@@ -25,6 +25,7 @@ from mmfa import (
     score_instance,
 )
 from mmfa.engine import score_system, solve_scores_batch
+from mmfa.multinomial import adjusted_counts
 from mmfa.inference import anomaly_threshold, predict_gaussian
 
 
@@ -151,7 +152,12 @@ class TestSharedScoreSystem:
         data, model = masked_two_blocks
         H, rho = score_system(
             data, model.gaussian, model.noise_variance, model.categoricals,
-            [state.expansion for state in model.categoricals],
+            [
+                adjusted_counts(
+                    block.counts, block.trials, state.expansion, block.n_categories
+                )
+                for block, state in zip(data.categoricals, model.categoricals)
+            ],
         )
         spec = model.spec
         scores = solve_scores_batch(H, rho, spec.score_update, spec.ridge_weight)
@@ -178,6 +184,36 @@ class TestSharedScoreSystem:
             rtol=1e-12,
         )
         assert loglik.sum() == pytest.approx(-665.1188365230967, rel=1e-12)
+
+
+class TestHiddenEntries:
+    def test_nan_in_masked_entries_changes_nothing(self):
+        # hidden Gaussian entries may hold NaN (a "nan" CSV cell); fitting
+        # and scoring must only ever read the observed entries
+        data = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=60, n_gaussian=5, n_categories=(4,),
+                n_trials=6, noise_variance=0.5, missing_fraction=0.3, seed=14,
+            )
+        ).dataset
+        assert np.isfinite(data.gaussian).all() and not data.mask.all()
+        hidden = np.where(data.mask, data.gaussian, np.nan)
+        nan_data = HeteroDataset(
+            gaussian=hidden, mask=data.mask, categoricals=data.categoricals
+        )
+        spec = ModelSpec(n_factors=2, max_iters=30, seed=2)
+        finite_model, nan_model = fit(data, spec), fit(nan_data, spec)
+        np.testing.assert_array_equal(
+            nan_model.objective_trace, finite_model.objective_trace
+        )
+        np.testing.assert_array_equal(nan_model.scores, finite_model.scores)
+        np.testing.assert_array_equal(
+            nan_model.noise_variance, finite_model.noise_variance
+        )
+        for got, want in zip(
+            score_dataset(nan_model, nan_data), score_dataset(finite_model, data)
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPredictiveLikelihood:
