@@ -6,6 +6,11 @@ updates for each categorical block, then one quadratic-program solve per
 instance that fuses all modality contributions into new scores. Every
 block update is an exact coordinate-ascent step on the same surrogate
 objective, so the tracked objective never decreases.
+
+The score step works through blocks of gaussian.KHATRI_RAO_CHUNK
+instances: each block's Hessians are assembled by one GEMM, solved, and
+read for the block's share of the objective before the next block is
+built, so no array of K^2 P floats exists.
 """
 
 import math
@@ -36,30 +41,48 @@ def _prior_multinomial_state(n_categories, k, p):
     )
 
 
-def _objective(data, spec, C, H, rho, gauss_state, noise_variance, cat_states,
-               log_coefficient):
-    """Surrogate objective at scores C from the score system (H, rho).
+def _score_step(data, spec, C, gauss_state, weights, cat_states, ztildes,
+                solve=True):
+    """New scores and the score-dependent part of the objective.
 
+    Builds the score system one block of instances at a time. With solve,
+    each block is solved (warm-started from C) and the objective part is
+    read at the new scores; without, it is read at C, which is returned.
     With every other part of the state held fixed the objective is
-    sum_i (rho_i^T c_i - c_i^T H_i c_i / 2) plus terms free of the
-    scores, where (H, rho) is the unridged :func:`score_system` at that
-    state; log_coefficient is the data-only multinomial log-coefficient
-    summed over every block and instance.
+    sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2) plus terms free
+    of the scores, where (H, rho) is the unridged :func:`score_system`.
+    Returns (scores (K, P), that sum).
     """
-    Ct = C.T
-    Hc = np.einsum("pkl,pl->pk", H, Ct)
-    total = float(np.sum(Ct * (rho - 0.5 * Hc))) + log_coefficient
+    new_C = np.empty_like(C) if solve else C
+    lam = spec.effective_ridge
+    quadratic = 0.0
+    for rows in gmod._instance_blocks(C.shape[1]):
+        H, rho = score_system(data, gauss_state, weights, cat_states, ztildes, rows)
+        c = C[:, rows].T
+        if solve:
+            c = solve_scores_batch(
+                H, rho, spec.score_update, spec.ridge_weight, warm_start=c
+            )
+            new_C[:, rows] = c.T
+        Hc = np.einsum("pkl,pl->pk", H, c)
+        quadratic += float(np.sum(c * (rho - 0.5 * Hc)))
+        if lam > 0:
+            quadratic -= 0.5 * lam * float(np.sum(c * c))
+    return new_C, quadratic
+
+
+def _score_free_terms(data, spec, gauss_state, sigma2, Y, weights, cat_states,
+                      offsets, log_coefficient):
+    """The objective's terms free of the scores; log_coefficient is the
+    data-only :func:`_log_coefficient`."""
+    total = log_coefficient
     if data.gaussian is not None:
         total += gmod.gaussian_score_free_terms(
-            gauss_state, noise_variance, data.gaussian, data.mask,
-            spec.alpha, spec.beta,
+            gauss_state, sigma2, Y, data.mask, weights, spec.alpha, spec.beta
         )
-    for state, block in zip(cat_states, data.categoricals):
-        total += mmod.multinomial_score_free_terms(state, block.trials)
-    lam = spec.effective_ridge
-    if lam > 0:
-        total -= 0.5 * lam * float(np.sum(C**2))
-    return float(total)
+    for state, block, offset in zip(cat_states, data.categoricals, offsets):
+        total += mmod.multinomial_score_free_terms(state, block.trials, offset)
+    return total
 
 
 def _log_coefficient(data):
@@ -71,13 +94,25 @@ def _log_coefficient(data):
 
 
 def _adjusted_counts(data, cat_states):
-    """Adjusted counts of every categorical block at its expansion points."""
-    return [
+    """Adjusted counts and bound offsets of every categorical block at its
+    expansion points, as two lists."""
+    pairs = [
         mmod.adjusted_counts(
-            block.counts, block.trials, state.expansion, block.n_categories
+            block.counts, block.trials, state.expansion, block.n_categories,
+            return_offset=True,
         )
         for block, state in zip(data.categoricals, cat_states)
     ]
+    return [z for z, _ in pairs], [offset for _, offset in pairs]
+
+
+def _observed_weights(data, sigma2):
+    """The Gaussian block with hidden entries zeroed, and its weights
+    (:func:`gaussian._weighted`) at noise variances sigma2."""
+    if data.gaussian is None:
+        return None, None
+    Y = gmod._observed(data.gaussian, data.mask)
+    return Y, gmod._weighted(sigma2, Y, data.mask)
 
 
 def surrogate_objective(model, data):
@@ -91,12 +126,16 @@ def surrogate_objective(model, data):
     trace. Deterministic given the model state.
     """
     model.check_compatible(data)
-    state = (model.gaussian, model.noise_variance, model.categoricals)
-    H, rho = score_system(
-        data, *state, _adjusted_counts(data, model.categoricals)
+    spec, gauss_state, sigma2 = model.spec, model.gaussian, model.noise_variance
+    Y, weights = _observed_weights(data, sigma2)
+    ztildes, offsets = _adjusted_counts(data, model.categoricals)
+    _, quadratic = _score_step(
+        data, spec, model.scores, gauss_state, weights, model.categoricals,
+        ztildes, solve=False,
     )
-    return _objective(
-        data, model.spec, model.scores, H, rho, *state, _log_coefficient(data)
+    return quadratic + _score_free_terms(
+        data, spec, gauss_state, sigma2, Y, weights, model.categoricals, offsets,
+        _log_coefficient(data),
     )
 
 
@@ -106,13 +145,18 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
     H: (P, K, K) symmetric PSD stack, rho: (P, K). Modes:
       unconstrained - SPD solve of H c = rho
       ridge         - SPD solve of (H + ridge I) c = rho
-      nonnegative   - projected gradient on the constrained QP, converged
-                      when the componentwise KKT residual drops below 1e-8
+      nonnegative   - projected gradient on the constrained QP; each
+                      instance stops once its componentwise KKT residual
+                      drops below 1e-8
     The SPD modes factor each system once, L L^T, by a Cholesky vectorized
-    across instances, then substitute forward and back against L. Returns
+    across instances, then substitute forward and back against L. The
+    factor works in a (K, K, P) array: an H that is a view of one, as
+    :func:`score_system` returns, is copied without reordering. Returns
     scores of shape (P, K). A non-finite entry in H or rho raises
     NumericalError, and so does a pivot that is not positive: the system
-    is then singular or indefinite.
+    is then singular or indefinite. Every instance's result is
+    independent of the others, so a fit may solve its instances in
+    blocks.
     """
     H = np.asarray(H, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -158,39 +202,62 @@ def _cholesky_batch(H, lam):
 
 
 def _nonneg_qp_batch(H, rho, warm_start):
+    """Projected gradient per instance; an instance leaves the batch once
+    its KKT residual is below NONNEG_KKT_TOL, so its iterates do not
+    depend on the other instances."""
     p, k = rho.shape
     c = np.zeros((p, k)) if warm_start is None else np.maximum(warm_start, 0.0)
-    evals = np.linalg.eigvalsh(H)
-    lipschitz = np.maximum(evals[:, -1], 1e-12)[:, None]
+    H = np.ascontiguousarray(H)
+    lipschitz = np.maximum(np.linalg.eigvalsh(H)[:, -1], 1e-12)[:, None]
+    left = np.arange(p)
+    x = c
     for _ in range(NONNEG_MAX_ITERS):
-        grad = np.einsum("pkl,pl->pk", H, c) - rho
-        kkt = np.abs(np.minimum(c, grad)).max(initial=0.0)
-        if kkt < NONNEG_KKT_TOL:
-            break
-        c = np.maximum(c - grad / lipschitz, 0.0)
-    else:
-        raise NumericalError("nonnegative score solver failed to reach KKT tolerance")
-    return c
+        grad = np.einsum("pkl,pl->pk", H, x) - rho
+        done = np.abs(np.minimum(x, grad)).max(axis=1) < NONNEG_KKT_TOL
+        if done.any():
+            c[left[done]] = x[done]
+            keep = ~done
+            left, x, grad = left[keep], x[keep], grad[keep]
+            H, rho, lipschitz = H[keep], rho[keep], lipschitz[keep]
+        if not left.size:
+            return c
+        x = np.maximum(x - grad / lipschitz, 0.0)
+    raise NumericalError("nonnegative score solver failed to reach KKT tolerance")
 
 
-def score_system(data, gauss_state, sigma2, cat_states, ztildes):
-    """Stacked score quadratic programs (H, rho) of every instance.
+def score_system(data, gauss_state, weights, cat_states, ztildes,
+                 rows=slice(None)):
+    """Score quadratic programs (H, rho) of the instances in rows.
 
-    Sums the Gaussian terms at noise variances sigma2 and, for each
-    categorical block, the bounded multinomial terms at its adjusted
-    counts ztilde (:func:`multinomial.adjusted_counts` at the block's
-    expansion points). Fitting and scoring both solve this system, and
-    the fit reads its objective off it.
+    Sums the Gaussian terms at weights (w, w * Y) (:func:`_observed_weights`)
+    and, for each categorical block, the bounded multinomial terms at its
+    adjusted counts ztilde (:func:`multinomial.adjusted_counts` at the
+    block's expansion points). Every instance's Hessian is a weighted sum
+    of the same few K x K matrices,
+
+        H_i = sum_j w_ij (cov_j + mean_j mean_j^T) + sum_b N_ib base_b,
+
+    so one GEMM of the stacked matrices against the block's weights
+    writes H in the (K, K, b) layout that :func:`solve_scores_batch`
+    factors. H is returned as a (b, K, K) view of it (H[i] is instance
+    i's matrix), rho as (b, K). Fitting and scoring both solve this
+    system, and the fit reads its objective off it.
     """
-    H = rho = 0.0
+    mats, cols = [], []
+    rho = 0.0
     if data.gaussian is not None:
-        H, rho = gmod.gaussian_score_terms(
-            gauss_state, sigma2, data.gaussian, data.mask
-        )
+        w, wy = weights
+        moments, rho = gmod.gaussian_score_terms(gauss_state, wy[rows])
+        mats.append(moments.reshape(len(moments), -1))
+        cols.append(w[rows])
     for state, block, ztilde in zip(cat_states, data.categoricals, ztildes):
-        Hm, rm = mmod.multinomial_score_terms(state, ztilde, block.trials)
-        H += Hm
-        rho += rm
+        base, rm = mmod.multinomial_score_terms(state, ztilde[rows])
+        mats.append(base.reshape(1, -1))
+        cols.append(block.trials[rows, None])
+        rho = rho + rm
+    k = rho.shape[1]
+    stacked, weight = np.concatenate(mats), np.concatenate(cols, axis=1)
+    H = (stacked.T @ weight.T).reshape(k, k, -1).transpose(2, 0, 1)
     return H, rho
 
 
@@ -209,11 +276,13 @@ def fit(data, spec, callback=None):
     for smoke tests.
 
     Each iteration updates the Gaussian posterior and noise variances,
-    sweeps every categorical block, builds the score system once with
-    :func:`score_system` and solves it for the new scores. The objective
-    recorded for the iteration is read off that same system at the new
-    scores, and the adjusted counts at each block's new expansion points
-    are computed once and serve both this system and the next sweep.
+    sweeps every categorical block, then takes the score step: for one
+    block of instances at a time it builds the score system with
+    :func:`score_system`, solves it for the new scores and reads the
+    block's share of the objective off it. The Gaussian weights at the
+    new noise variances serve this score step and the next E-step; the
+    adjusted counts and bound offsets at each block's new expansion
+    points serve this score step, the objective and the next sweep.
 
     callback, if given, is invoked after every iteration as
     callback(iteration, snapshot) where snapshot is a FittedModel sharing
@@ -246,12 +315,15 @@ def fit(data, spec, callback=None):
     ]
 
     log_coefficient = _log_coefficient(data)
-    ztildes = _adjusted_counts(data, cat_states)
+    Y, weights = _observed_weights(data, sigma2)
+    ztildes, offsets = _adjusted_counts(data, cat_states)
+    _, quadratic = _score_step(
+        data, spec, C, gauss_state, weights, cat_states, ztildes, solve=False
+    )
     trace = [
-        _objective(
-            data, spec, C,
-            *score_system(data, gauss_state, sigma2, cat_states, ztildes),
-            gauss_state, sigma2, cat_states, log_coefficient,
+        quadratic + _score_free_terms(
+            data, spec, gauss_state, sigma2, Y, weights, cat_states, offsets,
+            log_coefficient,
         )
     ]
     seconds = []
@@ -261,29 +333,29 @@ def fit(data, spec, callback=None):
         start = time.perf_counter()
         try:
             if data.gaussian is not None:
-                gauss_state = gmod.gaussian_e_step(C, sigma2, data.gaussian, data.mask)
+                gauss_state = gmod._e_step(C, *weights)
+                weights = None  # free them before the M-step's temporaries
                 sigma2 = gmod.gaussian_m_step(
-                    gauss_state, C, data.gaussian, data.mask, spec.alpha, spec.beta
+                    gauss_state, C, Y, data.mask, spec.alpha, spec.beta
                 )
+                weights = gmod._weighted(sigma2, Y, data.mask)
             # the adjusted counts at the new expansion points feed both this
-            # score system and the next iteration's categorical sweep
+            # score step and the next iteration's categorical sweep
             cat_states = [
                 _categorical_sweep(block, C, ztilde)
                 for block, ztilde in zip(data.categoricals, ztildes)
             ]
-            ztildes = _adjusted_counts(data, cat_states)
-            H, rho = score_system(data, gauss_state, sigma2, cat_states, ztildes)
-            C = solve_scores_batch(
-                H, rho, spec.score_update, spec.ridge_weight, warm_start=C.T
-            ).T
+            ztildes, offsets = _adjusted_counts(data, cat_states)
+            C, quadratic = _score_step(
+                data, spec, C, gauss_state, weights, cat_states, ztildes
+            )
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
 
-        objective = _objective(
-            data, spec, C, H, rho, gauss_state, sigma2, cat_states,
+        objective = quadratic + _score_free_terms(
+            data, spec, gauss_state, sigma2, Y, weights, cat_states, offsets,
             log_coefficient,
         )
-        del H, rho  # free the K^2 P stack before the next one is built
         seconds.append(time.perf_counter() - start)
         trace.append(objective)
         iterations = iteration

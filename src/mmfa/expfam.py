@@ -21,6 +21,16 @@ def _check_finite(eta, name):
     return eta
 
 
+def _shifted_exp(eta):
+    """(m, exp(eta - m), exp(-m) + sum(exp(eta - m))) along the last axis,
+    with m the maximum of the entries and the implicit zero pivot, all
+    with the category axis kept."""
+    eta = _check_finite(eta, "eta")
+    m = np.maximum(np.max(eta, axis=-1, keepdims=True), 0.0)
+    num = np.exp(eta - m)
+    return m, num, np.exp(-m) + np.sum(num, axis=-1, keepdims=True)
+
+
 def lse(eta):
     """log(1 + sum(exp(eta))), the multinomial log-partition function.
 
@@ -28,9 +38,8 @@ def lse(eta):
     maximum of the entries and the implicit zero pivot is shifted out
     before exponentiating.
     """
-    eta = _check_finite(eta, "eta")
-    m = np.maximum(np.max(eta, axis=-1), 0.0)
-    return m + np.log(np.exp(-m) + np.sum(np.exp(eta - m[..., None]), axis=-1))
+    m, _, denom = _shifted_exp(eta)
+    return m[..., 0] + np.log(denom[..., 0])
 
 
 def softmax_pivot(eta):
@@ -39,12 +48,8 @@ def softmax_pivot(eta):
     Returns an array with one more entry than the input along the last
     axis; the appended entry is the pivot-category probability.
     """
-    eta = _check_finite(eta, "eta")
-    m = np.maximum(np.max(eta, axis=-1, keepdims=True), 0.0)
-    num = np.exp(eta - m)
-    pivot = np.exp(-m)
-    denom = pivot + np.sum(num, axis=-1, keepdims=True)
-    return np.concatenate([num, pivot], axis=-1) / denom
+    m, num, denom = _shifted_exp(eta)
+    return np.concatenate([num, np.exp(-m)], axis=-1) / denom
 
 
 class CurvatureMatrix:

@@ -15,8 +15,9 @@ from scipy.special import gammaln
 from .errors import DimensionMismatch, NumericalError
 
 VARIANCE_FLOOR = 1e-9
-# Instances per block of the Khatri-Rao product C (.) C: a block holds
-# K^2 * KHATRI_RAO_CHUNK floats (1.6 MB at K=10), whatever P is.
+# Instances per block of the Khatri-Rao product C (.) C and of the score
+# system: a block holds K^2 * KHATRI_RAO_CHUNK floats (1.6 MB at K=10),
+# whatever P is.
 KHATRI_RAO_CHUNK = 2048
 
 
@@ -42,18 +43,28 @@ def prior_mode_variance(alpha, beta):
     return 1.0 / (beta * (alpha + 1.0))
 
 
-def _weights(sigma2, mask):
-    w = 1.0 / sigma2
-    if mask is not None:
-        w = np.where(mask, w, 0.0)
-    return w
-
-
 def _observed(Y, mask):
     """Y with masked-out entries set to 0: a hidden entry may hold NaN,
     and a zero weight times NaN is still NaN."""
     Y = np.asarray(Y, dtype=float)
     return Y if mask is None else np.where(mask, Y, 0.0)
+
+
+def _weighted(sigma2, Y, mask):
+    """Per-entry precisions w (0 where hidden) and w * Y, for Y from
+    :func:`_observed`. The E-step and the score system both read them.
+    Multiplying by the mask is exact for finite sigma2 and several times
+    faster than np.where on a scattered mask."""
+    w = 1.0 / sigma2
+    if mask is not None:
+        w *= mask
+    return w, w * Y
+
+
+def _instance_blocks(p):
+    """Consecutive slices of KHATRI_RAO_CHUNK instances covering range(p)."""
+    for start in range(0, p, KHATRI_RAO_CHUNK):
+        yield slice(start, start + KHATRI_RAO_CHUNK)
 
 
 def _khatri_rao_blocks(C):
@@ -63,8 +74,7 @@ def _khatri_rao_blocks(C):
     a (block x K^2) GEMM contracts both score factors of a K^2 P D1 sum.
     """
     k, p = C.shape
-    for start in range(0, p, KHATRI_RAO_CHUNK):
-        rows = slice(start, start + KHATRI_RAO_CHUNK)
+    for rows in _instance_blocks(p):
         part = C[:, rows].T
         yield rows, (part[:, :, None] * part[:, None, :]).reshape(-1, k * k)
 
@@ -116,14 +126,18 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
         )
     if np.any(sigma2 <= 0):
         raise ValueError("noise variances must be strictly positive")
-    d1 = Y.shape[1]
-    w = _weights(sigma2, mask)
+    return _e_step(C, *_weighted(sigma2, _observed(Y, mask), mask))
 
+
+def _e_step(C, w, wy):
+    """:func:`gaussian_e_step` from the weights of :func:`_weighted`."""
+    k = C.shape[0]
+    d1 = w.shape[1]
     prec_flat = np.zeros((k * k, d1))
     for rows, block in _khatri_rao_blocks(C):
         prec_flat += block.T @ w[rows]
     prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
-    rhs = C @ (w * _observed(Y, mask))  # (K, D1)
+    rhs = C @ wy  # (K, D1)
 
     chol = _cholesky(prec)
     if chol is None:
@@ -158,25 +172,25 @@ def gaussian_m_step(state, C, Y, mask=None, alpha=1.0, beta=0.1):
     return np.maximum(sigma2, VARIANCE_FLOOR)
 
 
-def gaussian_score_terms(state, sigma2, Y, mask=None):
-    """Quadratic-program inputs for every instance at once.
+def gaussian_score_terms(state, wy):
+    """The Gaussian block's part of the score quadratic programs.
 
-    Returns (H, rho) with H of shape (P, K, K) and rho of shape (P, K):
+    Returns (moments, rho) with moments of shape (D1, K, K) and rho of
+    shape (P, K), for the instances whose weighted data wy = w * Y
+    (:func:`_weighted`) is given:
 
-        H_i   = sum_j (cov_j + mean_j mean_j^T) / sigma2_ij
-        rho_i = sum_j y_ij mean_j / sigma2_ij
+        H_i   = sum_j w_ij moments_j,  moments_j = cov_j + mean_j mean_j^T
+        rho_i = sum_j w_ij y_ij mean_j
 
-    over the observed features of instance i.
+    over the observed features of instance i (w_ij = 1 / sigma2_ij, and 0
+    where hidden). :func:`engine.score_system` forms H for a block of
+    instances in one GEMM with every other block's terms.
     """
-    w = _weights(np.asarray(sigma2, dtype=float), mask)
-    d1, k = state.mean.shape
-    second_moment = state.cov + state.mean[:, :, None] * state.mean[:, None, :]
-    H = (w @ second_moment.reshape(d1, k * k)).reshape(-1, k, k)
-    rho = (w * _observed(Y, mask)) @ state.mean
-    return H, rho
+    moments = state.cov + state.mean[:, :, None] * state.mean[:, None, :]
+    return moments, wy @ state.mean
 
 
-def gaussian_score_free_terms(state, sigma2, Y, mask, alpha, beta):
+def gaussian_score_free_terms(state, sigma2, Y, mask, weights, alpha, beta):
     """Part of the Gaussian objective contribution free of the scores.
 
     The full contribution is the expected data log-density, the loading
@@ -185,21 +199,27 @@ def gaussian_score_free_terms(state, sigma2, Y, mask, alpha, beta):
     E_q[(y_ij - u_j.c_i)^2] = y_ij^2 - 2 y_ij mean_j.c_i
     + c_i^T (cov_j + mean_j mean_j^T) c_i leaves the score-dependent part
     rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
-    :func:`gaussian_score_terms`; this returns everything else.
+    :func:`gaussian_score_terms`; this returns everything else. Y comes
+    from :func:`_observed` and weights (w, w * Y) from :func:`_weighted`
+    at sigma2.
     """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     k = state.n_factors
     rate = 1.0 / beta
-    # per observed entry: -log(2 pi sigma2)/2 - y^2 / (2 sigma2) from the
-    # data term plus log InvGamma(sigma2; alpha, rate 1/beta)
-    per_entry = (alpha + 1.5) * np.log(sigma2) + (0.5 * Y * Y + rate) / sigma2
-    n_obs = per_entry.size
+    w, wy = weights
+    log_sigma2 = np.log(sigma2)
+    n_obs = sigma2.size
     if mask is not None:
-        per_entry = np.where(mask, per_entry, 0.0)  # a hidden y may be NaN
+        log_sigma2 *= mask
         n_obs = np.count_nonzero(mask)
+    # per observed entry: -log(2 pi sigma2)/2 - y^2 / (2 sigma2) from the
+    # data term plus log InvGamma(sigma2; alpha, rate 1/beta); w and Y are
+    # 0 where hidden
     total = n_obs * (-0.5 * np.log(2.0 * np.pi) + alpha * np.log(rate) - gammaln(alpha))
-    total -= per_entry.sum()
+    total -= (
+        (alpha + 1.5) * log_sigma2.sum()
+        + 0.5 * np.vdot(Y, wy)
+        + rate * w.sum()
+    )
     # E_q[log N(u_j; 0, I)] + H(q_j) per feature
     sign, logdet = np.linalg.slogdet(state.cov)
     if np.any(sign <= 0):

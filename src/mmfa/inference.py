@@ -65,7 +65,9 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     at the prior mode) until the scores stop moving. Every step ascends
     the same per-instance objective, so the alternation is a monotone
     fixed-point iteration, and a converged training instance re-scores to
-    its training solution.
+    its training solution. Each step builds and solves the score system
+    (:func:`engine.score_system`) one block of instances at a time, as the
+    fit does.
 
     The reported log-likelihood integrates the Gaussian loadings out at
     the prior-mode noise variance; the iterated per-instance variances
@@ -76,11 +78,12 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     p, k = data.n_instances, model.n_factors
 
     mask = None
-    sigma2 = None
+    Y = weights = None
     prior_mode = gmod.prior_mode_variance(spec.alpha, spec.beta)
     if data.gaussian is not None:
         mask = data.observed_mask()
-        sigma2 = np.full(data.gaussian.shape, prior_mode)
+        Y = gmod._observed(data.gaussian, mask)
+        weights = gmod._weighted(np.full(Y.shape, prior_mode), Y, mask)
 
     C = np.zeros((p, k))
     expansions = [
@@ -91,18 +94,21 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
             mmod.adjusted_counts(block.counts, block.trials, psi, block.n_categories)
             for block, psi in zip(data.categoricals, expansions)
         ]
-        H, rho = score_system(
-            data, model.gaussian, sigma2, model.categoricals, ztildes
-        )
-        new_C = solve_scores_batch(
-            H, rho, spec.score_update, spec.ridge_weight, warm_start=C
-        )
+        new_C = np.empty_like(C)
+        for rows in gmod._instance_blocks(p):
+            H, rho = score_system(
+                data, model.gaussian, weights, model.categoricals, ztildes, rows
+            )
+            new_C[rows] = solve_scores_batch(
+                H, rho, spec.score_update, spec.ridge_weight, warm_start=C[rows]
+            )
         moved = np.abs(new_C - C).max() if p else 0.0
         C = new_C
         if data.gaussian is not None:
             sigma2 = gmod.gaussian_m_step(
-                model.gaussian, C.T, data.gaussian, mask, spec.alpha, spec.beta
+                model.gaussian, C.T, Y, mask, spec.alpha, spec.beta
             )
+            weights = gmod._weighted(sigma2, Y, mask)
         expansions = [
             mmod.psi_update(state.loading_mean, C.T)
             for state in model.categoricals

@@ -15,13 +15,11 @@ formed, and one EM sweep costs O(K^2 P + K P D2).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, NumericalError
-from .expfam import CurvatureMatrix, lse, softmax_pivot
-
-SPD_JITTERS = (0.0, 1e-10, 1e-8)
+from .expfam import CurvatureMatrix, _shifted_exp
+from .gaussian import _cholesky
 
 
 @dataclass
@@ -105,23 +103,27 @@ class MultinomialState:
 
 
 def spd_solve(matrix, rhs, what="matrix"):
-    """Cholesky solve with escalating diagonal jitter before giving up."""
-    matrix = np.asarray(matrix, dtype=float)
-    eye = np.eye(matrix.shape[0])
-    for jitter in SPD_JITTERS:
-        try:
-            factor = cho_factor(matrix + jitter * eye, lower=True)
-            return cho_solve(factor, rhs)
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(f"SPD factorization of {what} failed even with jitter")
+    """Solve matrix x = rhs through one Cholesky factorization.
+
+    Both matrices the E-step factors have every eigenvalue >= 1, so a
+    failed or non-finite factor means the inputs overflowed: it raises
+    NumericalError.
+    """
+    chol = _cholesky(matrix)
+    if chol is None:
+        raise NumericalError(f"Cholesky factorization of the {what} failed")
+    chol_inv = np.linalg.inv(chol)
+    return chol_inv.T @ (chol_inv @ rhs)
 
 
-def adjusted_counts(counts, trials, expansion, n_categories):
+def adjusted_counts(counts, trials, expansion, n_categories, return_offset=False):
     """Counts shifted by the expansion-point terms of the quadratic bound.
 
     ztilde_i = z_i - N_i (softmax(psi_i) - A psi_i), restricted to the
-    non-pivot categories. With zero trials the counts pass through.
+    non-pivot categories. With zero trials the counts pass through. With
+    return_offset, also returns the bound's remainder that does not
+    depend on the log-odds, lse(psi_i) - psi_i^T softmax(psi_i)
+    + psi_i^T A psi_i / 2, from the same softmax: (ztilde, offset).
     """
     counts = np.asarray(counts, dtype=float)
     expansion = np.asarray(expansion, dtype=float)
@@ -130,9 +132,18 @@ def adjusted_counts(counts, trials, expansion, n_categories):
         raise DimensionMismatch(
             f"counts {counts.shape} vs expansion points {expansion.shape}"
         )
-    curv = CurvatureMatrix(n_categories)
-    probs = softmax_pivot(expansion)[..., :-1]
-    return counts - trials[:, None] * (probs - curv.apply(expansion))
+    m, probs, denom = _shifted_exp(expansion)
+    probs /= denom
+    curved = CurvatureMatrix(n_categories).apply(expansion)
+    ztilde = probs - curved
+    ztilde *= trials[:, None]
+    np.subtract(counts, ztilde, out=ztilde)
+    if not return_offset:
+        return ztilde
+    offset = (m + np.log(denom))[:, 0] - np.sum(
+        expansion * (probs - 0.5 * curved), axis=-1
+    )
+    return ztilde, offset
 
 
 def multinomial_e_step(C, trials, ztilde, n_categories):
@@ -215,12 +226,15 @@ def score_base(state):
     )
 
 
-def multinomial_score_terms(state, ztilde, trials):
-    """(H, rho) stacks over all instances for the score quadratic program."""
-    base = score_base(state)
-    H = np.asarray(trials, dtype=float)[:, None, None] * base
-    rho = np.asarray(ztilde, dtype=float) @ state.loading_mean.T
-    return H, rho
+def multinomial_score_terms(state, ztilde):
+    """The block's part of the score quadratic programs: (base, rho).
+
+    H_i = trials_i * base with base from :func:`score_base`, and
+    rho_i = loading_mean ztilde_i, for the instances whose adjusted
+    counts are given. :func:`engine.score_system` forms H for a block of
+    instances in one GEMM with every other block's terms.
+    """
+    return score_base(state), np.asarray(ztilde, dtype=float) @ state.loading_mean.T
 
 
 def log_multinomial_coefficient(counts, trials):
@@ -234,17 +248,6 @@ def log_multinomial_coefficient(counts, trials):
         gammaln(trials + 1.0)
         - gammaln(counts + 1.0).sum(axis=1)
         - gammaln(pivot + 1.0)
-    )
-
-
-def _bound_offset(expansion, n_categories):
-    """Constant-in-eta remainder of the bound at the expansion points:
-    lse(psi) - psi^T softmax(psi) + psi^T A psi / 2."""
-    probs = softmax_pivot(expansion)[..., :-1]
-    return (
-        lse(expansion)
-        - np.sum(expansion * probs, axis=-1)
-        + 0.5 * CurvatureMatrix(n_categories).quad(expansion)
     )
 
 
@@ -262,11 +265,12 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
     expansion = np.asarray(expansion, dtype=float)
     C = np.asarray(C, dtype=float)
 
-    ztilde = adjusted_counts(counts, trials, expansion, state.n_categories)
+    ztilde, offset = adjusted_counts(
+        counts, trials, expansion, state.n_categories, return_offset=True
+    )
     base = score_base(state)
-    quad = np.einsum("kp,kl,lp->p", C, base, C)
+    quad = np.sum(C * (base @ C), axis=0)  # einsum would stage K^2 P terms
     linear = np.sum((ztilde @ state.loading_mean.T) * C.T, axis=1)
-    offset = _bound_offset(expansion, state.n_categories)
     return (
         log_multinomial_coefficient(counts, trials)
         + linear
@@ -275,19 +279,20 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
     )
 
 
-def multinomial_score_free_terms(state, trials):
+def multinomial_score_free_terms(state, trials, offset):
     """Part of the modality's objective contribution free of the scores.
 
     The full contribution is the expected bounded log-likelihood plus the
     loading prior cross-entropy and posterior entropy, all evaluated with
     the structured covariance. Its score-dependent part is
-    rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
+    rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * base from
     :func:`multinomial_score_terms`; this returns everything else except
-    the data-only :func:`log_multinomial_coefficient`.
+    the data-only :func:`log_multinomial_coefficient`. offset is the
+    bound offset at the state's expansion points, from
+    :func:`adjusted_counts` with return_offset.
     """
     k = state.n_factors
     d = state.n_categories - 1
-    offset = _bound_offset(state.expansion, state.n_categories)
     total = -float(np.asarray(trials, dtype=float) @ offset)
     tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
     total += -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k

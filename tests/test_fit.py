@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from mmfa import (
     select_k,
     surrogate_objective,
 )
-from mmfa import engine
 from mmfa import gaussian as gmod
 from mmfa import multinomial as mmod
 from mmfa.engine import solve_scores_batch
@@ -392,14 +393,7 @@ class TestObjectiveFromScoreSystem:
         C = rng.standard_normal((2, data.n_instances))  # not the fitted optimum
         if mode == "nonnegative":
             C = np.abs(C)
-        H, rho = engine.score_system(
-            data, model.gaussian, model.noise_variance, model.categoricals,
-            engine._adjusted_counts(data, model.categoricals),
-        )
-        got = engine._objective(
-            data, spec, C, H, rho, model.gaussian, model.noise_variance,
-            model.categoricals, engine._log_coefficient(data),
-        )
+        got = surrogate_objective(replace(model, scores=C), data)
         want = reference_objective(
             data, spec, C, model.gaussian, model.noise_variance, model.categoricals
         )
@@ -418,6 +412,79 @@ class TestObjectiveFromScoreSystem:
         model = fit(data, ModelSpec(n_factors=2, max_iters=7, seed=1))
         assert model.iterations_run == 7
         assert len(calls) == 2 * (model.iterations_run + 1)
+
+
+class TestInstanceBlocks:
+    """The score step builds, solves and reads the score system one block
+    of gaussian.KHATRI_RAO_CHUNK instances at a time."""
+
+    CHUNK = 16
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # two blocks of 16 instances plus a remainder of 5
+        return sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=2 * self.CHUNK + 5, n_gaussian=5,
+                n_categories=(4, 3), n_trials=6, noise_variance=0.5,
+                missing_fraction=0.3, seed=31,
+            )
+        ).dataset
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    def test_blocking_changes_nothing(self, monkeypatch, data, mode):
+        spec = ModelSpec(
+            n_factors=2, score_update=mode, ridge_weight=0.3, tol=1e-300,
+            max_iters=12, seed=4,
+        )
+        whole = fit(data, spec)
+        whole_scores, whole_loglik = mmfa.score_dataset(whole, data)
+        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        blocked = fit(data, spec)
+        again = fit(data, spec)
+        blocked_scores, blocked_loglik = mmfa.score_dataset(whole, data)
+
+        np.testing.assert_allclose(
+            blocked.objective_trace, whole.objective_trace, rtol=1e-12, atol=0
+        )
+        for got, want in ((blocked.scores, whole.scores), (blocked_scores, whole_scores)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(blocked_loglik, whole_loglik, rtol=1e-12, atol=0)
+        assert again.objective_trace == blocked.objective_trace
+        np.testing.assert_array_equal(again.scores, blocked.scores)
+
+    @pytest.mark.filterwarnings("ignore:n_factors")
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    def test_no_k2p_stack(self, monkeypatch, mode):
+        # a one-iteration fit and a one-step scoring call each allocate
+        # less than a single (P, K, K) float64 array at their peak
+        k, p = 10, 24 * self.CHUNK + 7
+        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        data = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=p, n_gaussian=3, n_categories=(3,),
+                n_trials=5, missing_fraction=0.2, seed=32,
+            )
+        ).dataset
+        spec = ModelSpec(
+            n_factors=k, score_update=mode, ridge_weight=0.3, tol=1e-300,
+            max_iters=1, seed=1,
+        )
+
+        def peak(call, *args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            model, fit_peak = peak(fit, data, spec)
+            _, score_peak = peak(mmfa.score_dataset, model, data, max_inner=1)
+        finally:
+            tracemalloc.stop()
+        stack = p * k * k * 8
+        assert fit_peak < stack and score_peak < stack, (fit_peak, score_peak, stack)
 
 
 class TestSelectK:

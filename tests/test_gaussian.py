@@ -5,14 +5,21 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import multivariate_normal, norm
 
-from mmfa import NumericalError, gaussian_e_step
+from mmfa import HeteroDataset, NumericalError, gaussian_e_step
 from mmfa import gaussian as gmod
+from mmfa.engine import score_system
 from mmfa.gaussian import (
     GaussianState,
     gaussian_m_step as m_step,
-    gaussian_score_terms,
     prior_mode_variance,
 )
+
+
+def gaussian_score_terms(state, sigma2, Y, mask=None):
+    """(H, rho) of a Gaussian-only dataset, through engine.score_system."""
+    data = HeteroDataset(gaussian=Y, mask=mask)
+    weights = gmod._weighted(sigma2, gmod._observed(Y, mask), mask)
+    return score_system(data, state, weights, [], [])
 
 
 def dense_posterior(C, sigma2_col, y_col, observed):

@@ -24,7 +24,7 @@ from mmfa import (
     score_dataset,
     score_instance,
 )
-from mmfa.engine import score_system, solve_scores_batch
+from mmfa.engine import _observed_weights, score_system, solve_scores_batch
 from mmfa.multinomial import adjusted_counts
 from mmfa.inference import anomaly_threshold, predict_gaussian
 
@@ -150,8 +150,9 @@ class TestSharedScoreSystem:
     def test_final_solve_reproduces_fitted_scores(self, masked_two_blocks):
         # fit updates no state after its last score solve
         data, model = masked_two_blocks
+        _, weights = _observed_weights(data, model.noise_variance)
         H, rho = score_system(
-            data, model.gaussian, model.noise_variance, model.categoricals,
+            data, model.gaussian, weights, model.categoricals,
             [
                 adjusted_counts(
                     block.counts, block.trials, state.expansion, block.n_categories

@@ -16,6 +16,7 @@ from scipy.special import gammaln
 from mmfa import (
     CurvatureMatrix,
     MultinomialData,
+    NumericalError,
     adjusted_counts,
     lse,
     multinomial_e_step,
@@ -24,10 +25,17 @@ from mmfa import (
 )
 from mmfa.multinomial import (
     expected_bound_loglik,
-    multinomial_score_terms,
+    multinomial_score_terms as block_score_terms,
     posterior_covariance_dense,
     score_base,
+    spd_solve,
 )
+
+
+def multinomial_score_terms(state, ztilde, trials):
+    """(H, rho) stacks of one block: H_i = trials_i * base."""
+    base, rho = block_score_terms(state, ztilde)
+    return np.asarray(trials, dtype=float)[:, None, None] * base, rho
 
 
 def random_instance(rng, k, p, d2, max_trials=6):
@@ -94,6 +102,18 @@ class TestAdjustedCounts:
             expected = counts[i] - trials[i] * (probs - A @ psi[i])
             np.testing.assert_allclose(got[i], expected, atol=1e-13)
 
+    def test_offset_from_the_same_softmax(self):
+        rng = np.random.default_rng(3)
+        _, trials, counts, psi = random_instance(rng, 2, 9, 5)
+        psi[0] = [40.0, -3.0, 1.0, 2.0]  # the shift by the largest entry matters
+        ztilde, offset = adjusted_counts(counts, trials, psi, 5, return_offset=True)
+        np.testing.assert_array_equal(ztilde, adjusted_counts(counts, trials, psi, 5))
+        curv = CurvatureMatrix(5)
+        for i in range(9):
+            probs = softmax_pivot(psi[i])[:-1]
+            expected = lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i])
+            assert offset[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
 
 class TestEStep:
     def test_zero_trials_gives_prior(self):
@@ -139,6 +159,34 @@ class TestEStep:
             C, trials, adjusted_counts(counts, trials, psi, 5), 5
         )
         assert np.linalg.eigvalsh(state.precision).min() >= 1.0 - 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_block_precision_raises_numerical_error(self):
+        rng = np.random.default_rng(7)
+        C, trials, counts, psi = random_instance(rng, 3, 6, 4)
+        trials += 1.0
+        ztilde = adjusted_counts(counts, trials, psi, 4)
+        with pytest.raises(NumericalError, match="block precision"):
+            multinomial_e_step(1e160 * C, trials, ztilde, 4)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+        ids=["inf", "nan", "indefinite"],
+    )
+    def test_spd_solve_failure_is_numerical_error(self, matrix):
+        with pytest.raises(NumericalError, match="Cholesky"):
+            spd_solve(np.array(matrix), np.eye(2))
+
+    def test_spd_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((4, 6))
+        matrix = M @ M.T + np.eye(4)
+        rhs = rng.standard_normal((4, 3))
+        np.testing.assert_allclose(
+            spd_solve(matrix, rhs), np.linalg.solve(matrix, rhs), rtol=1e-12
+        )
 
 
 class TestPsiUpdate:
