@@ -1,8 +1,10 @@
 """On-disk dataset format: a JSON manifest referencing CSV matrices.
 
-All numeric CSV output is written with 17 significant digits so values
-survive a write/read round trip exactly. Paths inside a manifest are
-resolved relative to the manifest file.
+All numeric CSV output is written with 17 significant digits (FLOAT_FORMAT)
+so values survive a write/read round trip exactly. Matrices are written a
+block of about CSV_BLOCK_VALUES values at a time, each block formatted by
+one ``%`` call, which bounds the text held in memory for wide matrices.
+Paths inside a manifest are resolved relative to the manifest file.
 """
 
 import json
@@ -15,22 +17,35 @@ from .errors import DimensionMismatch, SchemaError
 from .multinomial import MultinomialData
 
 MANIFEST_SCHEMA_VERSION = 1
+FLOAT_FORMAT = "%.17g"
+CSV_BLOCK_VALUES = 1 << 16
 
 
 def format_float(x):
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def write_matrix_csv(path, matrix, columns):
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    """Write a 2-D matrix (1-D input is one row) as a CSV under a header.
+
+    Every value is converted to float and written as FLOAT_FORMAT, the
+    same text :func:`format_float` gives, so boolean and integer input
+    need no float copy of the whole matrix. Rows go out in blocks of about
+    CSV_BLOCK_VALUES values, each formatted by one ``%`` call on a
+    repeated row template.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix))
     if matrix.shape[1] != len(columns):
         raise DimensionMismatch(
             f"{len(columns)} column names for matrix with {matrix.shape[1]} columns"
         )
+    row = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
+    step = max(1, CSV_BLOCK_VALUES // max(len(columns), 1))
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in matrix:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        for start in range(0, len(matrix), step):
+            block = np.asarray(matrix[start:start + step], dtype=float)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_matrix_csv(path, expected_cols=None):
@@ -124,9 +139,7 @@ def save_dataset(directory, dataset, ground_truth=None, labels=None):
         write_matrix_csv(full("gaussian.csv"), dataset.gaussian, cols)
         doc["gaussian"] = {"csv": "gaussian.csv", "d1": d1}
         if dataset.mask is not None:
-            write_matrix_csv(
-                full("gaussian_mask.csv"), dataset.mask.astype(float), cols
-            )
+            write_matrix_csv(full("gaussian_mask.csv"), dataset.mask, cols)
             doc["gaussian"]["mask_csv"] = "gaussian_mask.csv"
     doc["categoricals"] = []
     for m, block in enumerate(dataset.categoricals):

@@ -145,9 +145,9 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
     H: (P, K, K) symmetric PSD stack, rho: (P, K). Modes:
       unconstrained - SPD solve of H c = rho
       ridge         - SPD solve of (H + ridge I) c = rho
-      nonnegative   - projected gradient on the constrained QP; each
-                      instance stops once its componentwise KKT residual
-                      drops below 1e-8
+      nonnegative   - accelerated projected gradient on the constrained
+                      QP; each instance stops once its componentwise KKT
+                      residual drops below 1e-8
     The SPD modes factor each system once, L L^T, by a Cholesky vectorized
     across instances, then substitute forward and back against L. The
     factor works in a (K, K, P) array: an H that is a view of one, as
@@ -202,7 +202,12 @@ def _cholesky_batch(H, lam):
 
 
 def _nonneg_qp_batch(H, rho, warm_start):
-    """Projected gradient per instance; an instance leaves the batch once
+    """Accelerated projected gradient (FISTA, step 1/L) per instance, with
+    the gradient restart of O'Donoghue & Candes (2015): an instance's
+    momentum resets whenever its step turns against its last move. Plain
+    projected gradient needs about cond(H) ln(1/tol) steps, which breaks
+    NONNEG_MAX_ITERS on an ill-conditioned instance; the accelerated one
+    needs about the square root of that. An instance leaves the batch once
     its KKT residual is below NONNEG_KKT_TOL, so its iterates do not
     depend on the other instances."""
     p, k = rho.shape
@@ -210,18 +215,28 @@ def _nonneg_qp_batch(H, rho, warm_start):
     H = np.ascontiguousarray(H)
     lipschitz = np.maximum(np.linalg.eigvalsh(H)[:, -1], 1e-12)[:, None]
     left = np.arange(p)
-    x = c
+    x = y = c
+    Hx = Hy = np.einsum("pkl,pl->pk", H, x)
+    t = np.ones(p)
     for _ in range(NONNEG_MAX_ITERS):
-        grad = np.einsum("pkl,pl->pk", H, x) - rho
-        done = np.abs(np.minimum(x, grad)).max(axis=1) < NONNEG_KKT_TOL
+        done = np.abs(np.minimum(x, Hx - rho)).max(axis=1) < NONNEG_KKT_TOL
         if done.any():
             c[left[done]] = x[done]
             keep = ~done
-            left, x, grad = left[keep], x[keep], grad[keep]
+            left, x, Hx, y, Hy, t = (
+                left[keep], x[keep], Hx[keep], y[keep], Hy[keep], t[keep]
+            )
             H, rho, lipschitz = H[keep], rho[keep], lipschitz[keep]
         if not left.size:
             return c
-        x = np.maximum(x - grad / lipschitz, 0.0)
+        x_new = np.maximum(y - (Hy - rho) / lipschitz, 0.0)
+        Hx_new = np.einsum("pkl,pl->pk", H, x_new)
+        restart = np.einsum("pk,pk->p", y - x_new, x_new - x) > 0
+        t_new = np.where(restart, 1.0, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)))
+        momentum = np.where(restart, 0.0, (t - 1.0) / t_new)[:, None]
+        y = x_new + momentum * (x_new - x)
+        Hy = Hx_new + momentum * (Hx_new - Hx)  # by linearity: one product a step
+        x, Hx, t = x_new, Hx_new, t_new
     raise NumericalError("nonnegative score solver failed to reach KKT tolerance")
 
 

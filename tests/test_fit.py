@@ -25,7 +25,7 @@ from mmfa import (
 )
 from mmfa import gaussian as gmod
 from mmfa import multinomial as mmod
-from mmfa.engine import solve_scores_batch
+from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch
 
 
 def small_dataset(seed=0, p=40, with_missing=False):
@@ -40,6 +40,28 @@ def small_dataset(seed=0, p=40, with_missing=False):
         seed=seed,
     )
     return sample_dataset(cfg)
+
+
+def nonnegative_qp_exact(H, rho):
+    """Minimizer of c^T H c / 2 - rho^T c over c >= 0, by trying every
+    active set."""
+    k = len(rho)
+    best = None
+    for active in itertools.product([0, 1], repeat=k):
+        free = np.array(active, dtype=bool)
+        c = np.zeros(k)
+        if free.any():
+            c[free] = np.linalg.solve(H[np.ix_(free, free)], rho[free])
+        if (c < -1e-12).any():
+            continue
+        grad = H @ c - rho
+        if (grad[~free] < -1e-9).any():
+            continue
+        value = 0.5 * c @ H @ c - rho @ c
+        if best is None or value < best[0]:
+            best = (value, c)
+    assert best is not None
+    return best[1]
 
 
 def solve_one(H, rho, mode="unconstrained", ridge_weight=0.0):
@@ -87,24 +109,25 @@ class TestUpdateScores:
                 H = M @ M.T + 0.1 * np.eye(k)
                 rho = rng.standard_normal(k) * 2.0
                 got = solve_one(H, rho, mode="nonnegative")
-                best = None
-                for active in itertools.product([0, 1], repeat=k):
-                    free = np.array(active, dtype=bool)
-                    c = np.zeros(k)
-                    if free.any():
-                        c[free] = np.linalg.solve(
-                            H[np.ix_(free, free)], rho[free]
-                        )
-                    if (c < -1e-12).any():
-                        continue
-                    grad = H @ c - rho
-                    if (grad[~free] < -1e-9).any():
-                        continue
-                    value = 0.5 * c @ H @ c - rho @ c
-                    if best is None or value < best[0]:
-                        best = (value, c)
-                assert best is not None
-                np.testing.assert_allclose(got, best[1], atol=1e-7)
+                np.testing.assert_allclose(got, nonnegative_qp_exact(H, rho), atol=1e-7)
+
+    def test_nonnegative_ill_conditioned(self):
+        # The free 2 x 2 block has condition number 3999 and the third
+        # constraint is active at the optimum. Projected gradient with step
+        # 1/L would need about 75000 steps, past NONNEG_MAX_ITERS.
+        H = np.array([[1.0, 1 - 5e-4, 0.1], [1 - 5e-4, 1.0, 0.1], [0.1, 0.1, 1.0]])
+        rho = np.array([1.0, 1.0002, -1.0])
+        assert 2000 < np.linalg.cond(H) < 5000
+        got = solve_one(H, rho, mode="nonnegative")
+        want = nonnegative_qp_exact(H, rho)
+        free = want > 0
+        assert free.tolist() == [True, True, False]
+        assert got[~free].tolist() == [0.0]
+        # a KKT residual below the tolerance on the free block bounds the error
+        bound = np.sqrt(2) * NONNEG_KKT_TOL / np.linalg.eigvalsh(H[np.ix_(free, free)])[0]
+        assert np.linalg.norm(got - want) <= bound
+        got_value, want_value = (0.5 * c @ H @ c - rho @ c for c in (got, want))
+        assert got_value - want_value <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("p", [1, 7, 2000])
@@ -163,6 +186,23 @@ class TestFitContracts:
         model = fit(synth.dataset, spec)
         trace = np.asarray(model.objective_trace)
         assert np.all(np.diff(trace) >= -1e-8)
+
+    @pytest.mark.filterwarnings("ignore:n_factors")
+    def test_nonnegative_ill_conditioned_fit_runs_to_max_iters(self):
+        # Plain projected gradient stopped this fit at iteration 66: one
+        # instance's QP needed more than NONNEG_MAX_ITERS steps.
+        synth = sample_dataset(
+            GeneratorConfig(
+                n_factors=3, n_instances=300, n_gaussian=6, n_categories=(4, 3),
+                n_trials=6, noise_variance=0.5, missing_fraction=0.2, seed=3,
+            )
+        )
+        spec = ModelSpec(
+            n_factors=3, score_update="nonnegative", max_iters=150, seed=2
+        )
+        model = fit(synth.dataset, spec)
+        assert model.iterations_run == 150
+        assert np.all(np.diff(model.objective_trace) >= -1e-8)
 
     def test_deterministic_given_seed(self):
         synth = small_dataset(seed=8, with_missing=True)
