@@ -56,8 +56,11 @@ class HeteroDataset:
                     f"expected {p}"
                 )
         if self.gaussian is not None:
-            check = self.gaussian if self.mask is None else self.gaussian[self.mask]
-            if not np.isfinite(check).all():
+            # hidden entries may hold anything, NaN included
+            finite = np.isfinite(self.gaussian)
+            if self.mask is not None:
+                finite |= ~self.mask
+            if not finite.all():
                 raise ValueError("observed gaussian entries must be finite")
 
     def observed_mask(self):

@@ -1,21 +1,31 @@
-"""EM driver: per-modality updates followed by a shared score step.
+"""EM loop: a global step, then one pass over blocks of instances.
 
-One iteration runs, in order: the exact Gaussian posterior and noise
-updates, the variational multinomial posterior and expansion-point
-updates for each categorical block, then one quadratic-program solve per
-instance that fuses all modality contributions into new scores. Every
-block update is an exact coordinate-ascent step on the same surrogate
-objective, so the tracked objective never decreases.
+The loading posteriors of every modality depend on the instances only
+through sums over them: sum_i w_ij c_i c_i^T and C (w * Y) for the
+Gaussian block, C diag(N) C^T and C ztilde for each categorical block.
+One iteration runs, in order:
 
-The score step works through blocks of gaussian.KHATRI_RAO_CHUNK
-instances: each block's Hessians are assembled by one GEMM, solved, and
-read for the block's share of the objective before the next block is
-built, so no array of K^2 P floats exists.
+- the global step (:func:`_global_step`): the exact Gaussian loading
+  posterior and the variational posterior of each categorical block,
+  finished from the sums the previous pass left;
+- one pass (:func:`_walk`) over blocks of gaussian.KHATRI_RAO_CHUNK
+  instances. Each block takes its local step (:func:`_local_step`): the
+  noise-variance M-step and the bound's expansion points at the block's
+  current scores, then its Gaussian weights, adjusted counts and score
+  system, which one solve turns into new scores. The block then adds its
+  share of the objective, read off the system just solved, and at its
+  new scores its share of the sums the next global step reads.
+
+Every update is an exact coordinate-ascent step on the same surrogate
+objective, so the tracked objective never decreases. Beyond its outputs
+(scores, noise variances, expansion points, posteriors), a fit holds one
+block's working set: no array of P D1 or K^2 P floats is made per
+iteration.
 """
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,47 +51,151 @@ def _prior_multinomial_state(n_categories, k, p):
     )
 
 
-def _score_step(data, spec, C, gauss_state, weights, cat_states, ztildes,
-                solve=True):
-    """New scores and the score-dependent part of the objective.
+@dataclass
+class _Block:
+    """One block of instances after its :func:`_local_step`."""
 
-    Builds the score system one block of instances at a time. With solve,
-    each block is solved (warm-started from C) and the objective part is
-    read at the new scores; without, it is read at C, which is returned.
-    With every other part of the state held fixed the objective is
-    sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2) plus terms free
-    of the scores, where (H, rho) is the unridged :func:`score_system`.
-    Returns (scores (K, P), that sum).
+    rows: slice
+    Y: np.ndarray = None  # (b, D1) Gaussian data, 0 where hidden
+    mask: np.ndarray = None  # (b, D1), or None when every entry is observed
+    sigma2: np.ndarray = None  # (b, D1) noise variances
+    weights: tuple = None  # (w, w * Y) at sigma2
+    psis: list = None  # expansion points, (b, D - 1) per categorical block
+    ztildes: list = None  # adjusted counts at psis
+    offsets: list = None  # bound offsets at psis
+    H: np.ndarray = None  # (b, K, K) score system
+    rho: np.ndarray = None  # (b, K)
+
+
+def _local_step(data, spec, gauss_state, cat_states, scores, rows,
+                sigma2=None, psis=None):
+    """The local step of the instances in rows, up to its solve.
+
+    scores (K, b) are the block's current scores. Its noise variances are
+    sigma2 or, if None, their M-step (:func:`gaussian.gaussian_m_step`)
+    at scores; its expansion points are psis or, if None,
+    psi = loading_mean^T c (:func:`multinomial.psi_update`) at scores.
+    From them come the Gaussian weights, the adjusted counts with their
+    bound offsets and the score system (:func:`score_system`). Fitting and
+    scoring both take this step with the loading posteriors held fixed,
+    and each solves the system itself. Returns a :class:`_Block`.
     """
-    new_C = np.empty_like(C) if solve else C
-    lam = spec.effective_ridge
-    quadratic = 0.0
-    for rows in gmod._instance_blocks(C.shape[1]):
-        H, rho = score_system(data, gauss_state, weights, cat_states, ztildes, rows)
-        c = C[:, rows].T
-        if solve:
-            c = solve_scores_batch(
-                H, rho, spec.score_update, spec.ridge_weight, warm_start=c
-            )
-            new_C[:, rows] = c.T
-        Hc = np.einsum("pkl,pl->pk", H, c)
-        quadratic += float(np.sum(c * (rho - 0.5 * Hc)))
-        if lam > 0:
-            quadratic -= 0.5 * lam * float(np.sum(c * c))
-    return new_C, quadratic
-
-
-def _score_free_terms(data, spec, gauss_state, sigma2, Y, weights, cat_states,
-                      offsets, log_coefficient):
-    """The objective's terms free of the scores; log_coefficient is the
-    data-only :func:`_log_coefficient`."""
-    total = log_coefficient
+    blk = _Block(rows)
     if data.gaussian is not None:
-        total += gmod.gaussian_score_free_terms(
-            gauss_state, sigma2, Y, data.mask, weights, spec.alpha, spec.beta
+        blk.mask = None if data.mask is None else data.mask[rows]
+        blk.Y = gmod._observed(data.gaussian[rows], blk.mask)
+        if sigma2 is None:
+            sigma2 = gmod.gaussian_m_step(
+                gauss_state, scores, blk.Y, blk.mask, spec.alpha, spec.beta
+            )
+        blk.sigma2 = sigma2
+        blk.weights = gmod._weighted(sigma2, blk.Y, blk.mask)
+    if psis is None:
+        psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
+    blk.psis = psis
+    pairs = [
+        mmod.adjusted_counts(
+            block.counts[rows], block.trials[rows], psi, block.n_categories,
+            return_offset=True,
         )
-    for state, block, offset in zip(cat_states, data.categoricals, offsets):
-        total += mmod.multinomial_score_free_terms(state, block.trials, offset)
+        for block, psi in zip(data.categoricals, psis)
+    ]
+    blk.ztildes = [z for z, _ in pairs]
+    blk.offsets = [offset for _, offset in pairs]
+    blk.H, blk.rho = score_system(
+        data, gauss_state, blk.weights, cat_states, blk.ztildes, rows
+    )
+    return blk
+
+
+def _walk(data, spec, C, gauss_state, cat_states, sigma2, update):
+    """One pass over the instance blocks; returns (objective part, sums).
+
+    With update (a fit iteration) each block takes its local step at its
+    current scores, writes its noise variances into sigma2 and its
+    expansion points into each categorical state's expansion array, and
+    solves for new scores, written into C. Without, each block reads
+    sigma2 and the expansion points as they are and C is kept. The
+    objective part is the blocks' share at the scores C then holds: the
+    quadratic sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2) with
+    (H, rho) the unridged score system, plus the per-entry and
+    per-instance terms free of the scores. The sums, at the same scores,
+    are what :func:`_global_step` reads: the Gaussian precision sums and
+    C (w * Y), then C diag(N) C^T and C ztilde per categorical block.
+    """
+    lam = spec.effective_ridge
+    k = C.shape[0]
+    total = 0.0
+    sums = [] if data.gaussian is None else [
+        np.zeros((k * k, data.n_gaussian)), np.zeros((k, data.n_gaussian))
+    ]
+    for block in data.categoricals:
+        sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
+    for rows in gmod._instance_blocks(C.shape[1]):
+        scores = C[:, rows]
+        if update:
+            blk = _local_step(data, spec, gauss_state, cat_states, scores, rows)
+            if sigma2 is not None:
+                sigma2[rows] = blk.sigma2
+            for state, psi in zip(cat_states, blk.psis):
+                state.expansion[rows] = psi
+            c = solve_scores_batch(
+                blk.H, blk.rho, spec.score_update, spec.ridge_weight,
+                warm_start=scores.T,
+            )
+            C[:, rows] = c.T
+        else:
+            blk = _local_step(
+                data, spec, gauss_state, cat_states, scores, rows,
+                sigma2=None if sigma2 is None else sigma2[rows],
+                psis=[state.expansion[rows] for state in cat_states],
+            )
+            c = scores.T
+        Hc = np.einsum("pkl,pl->pk", blk.H, c)
+        total += float(np.sum(c * (blk.rho - 0.5 * Hc)))
+        if lam > 0:
+            total -= 0.5 * lam * float(np.sum(c * c))
+        if blk.weights is not None:
+            total += gmod.gaussian_entry_terms(
+                blk.sigma2, blk.Y, blk.mask, blk.weights, spec.alpha, spec.beta
+            )
+        for block, offset in zip(data.categoricals, blk.offsets):
+            total -= float(block.trials[rows] @ offset)
+
+        parts = [] if blk.weights is None else [*gmod._e_step_sums(c.T, *blk.weights)]
+        for block, ztilde in zip(data.categoricals, blk.ztildes):
+            parts += mmod._e_step_sums(c.T, block.trials[rows], ztilde)
+        for acc, part in zip(sums, parts):
+            acc += part
+    return total, sums
+
+
+def _global_step(data, sums, cat_states):
+    """The loading posteriors from the sums of :func:`_walk`.
+
+    Returns (Gaussian state, categorical states). Each new categorical
+    state takes over its predecessor's expansion array, which the next
+    pass overwrites block by block.
+    """
+    sums = iter(sums)
+    gauss_state = None
+    if data.gaussian is not None:
+        gauss_state = gmod._e_step_finish(next(sums), next(sums))
+    new_states = []
+    for block, old in zip(data.categoricals, cat_states):
+        state = mmod._e_step_finish(next(sums), next(sums), block.n_categories)
+        state.expansion = old.expansion
+        new_states.append(state)
+    return gauss_state, new_states
+
+
+def _posterior_terms(gauss_state, cat_states):
+    """The objective's terms that depend on the loading posteriors alone."""
+    total = 0.0
+    if gauss_state is not None:
+        total += gmod.gaussian_posterior_terms(gauss_state)
+    for state in cat_states:
+        total += mmod.multinomial_posterior_terms(state)
     return total
 
 
@@ -93,49 +207,26 @@ def _log_coefficient(data):
     ))
 
 
-def _adjusted_counts(data, cat_states):
-    """Adjusted counts and bound offsets of every categorical block at its
-    expansion points, as two lists."""
-    pairs = [
-        mmod.adjusted_counts(
-            block.counts, block.trials, state.expansion, block.n_categories,
-            return_offset=True,
-        )
-        for block, state in zip(data.categoricals, cat_states)
-    ]
-    return [z for z, _ in pairs], [offset for _, offset in pairs]
-
-
-def _observed_weights(data, sigma2):
-    """The Gaussian block with hidden entries zeroed, and its weights
-    (:func:`gaussian._weighted`) at noise variances sigma2."""
-    if data.gaussian is None:
-        return None, None
-    Y = gmod._observed(data.gaussian, data.mask)
-    return Y, gmod._weighted(sigma2, Y, data.mask)
-
-
 def surrogate_objective(model, data):
     """Surrogate objective of a fitted model on a dataset.
 
     The exact Gaussian evidence terms plus the bounded multinomial terms,
     each with their prior and posterior-entropy parts, minus the ridge
     penalty when that score mode is active. It is read off the score
-    system built at the model's state by :func:`score_system`, the same
-    path :func:`fit` takes, so it reproduces the last entry of the fit's
-    trace. Deterministic given the model state.
+    system built at the model's state by :func:`score_system`, through
+    the same pass over instance blocks that :func:`fit` takes, so it
+    reproduces the last entry of the fit's trace. Deterministic given the
+    model state.
     """
     model.check_compatible(data)
-    spec, gauss_state, sigma2 = model.spec, model.gaussian, model.noise_variance
-    Y, weights = _observed_weights(data, sigma2)
-    ztildes, offsets = _adjusted_counts(data, model.categoricals)
-    _, quadratic = _score_step(
-        data, spec, model.scores, gauss_state, weights, model.categoricals,
-        ztildes, solve=False,
+    blocks, _ = _walk(
+        data, model.spec, model.scores, model.gaussian, model.categoricals,
+        model.noise_variance, update=False,
     )
-    return quadratic + _score_free_terms(
-        data, spec, gauss_state, sigma2, Y, weights, model.categoricals, offsets,
-        _log_coefficient(data),
+    return (
+        blocks
+        + _posterior_terms(model.gaussian, model.categoricals)
+        + _log_coefficient(data)
     )
 
 
@@ -244,11 +335,12 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
                  rows=slice(None)):
     """Score quadratic programs (H, rho) of the instances in rows.
 
-    Sums the Gaussian terms at weights (w, w * Y) (:func:`_observed_weights`)
+    Sums the Gaussian terms at weights (w, w * Y) (:func:`gaussian._weighted`)
     and, for each categorical block, the bounded multinomial terms at its
     adjusted counts ztilde (:func:`multinomial.adjusted_counts` at the
-    block's expansion points). Every instance's Hessian is a weighted sum
-    of the same few K x K matrices,
+    block's expansion points). weights and ztildes hold the rows'
+    instances only. Every instance's Hessian is a weighted sum of the same
+    few K x K matrices,
 
         H_i = sum_j w_ij (cov_j + mean_j mean_j^T) + sum_b N_ib base_b,
 
@@ -262,11 +354,11 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
     rho = 0.0
     if data.gaussian is not None:
         w, wy = weights
-        moments, rho = gmod.gaussian_score_terms(gauss_state, wy[rows])
+        moments, rho = gmod.gaussian_score_terms(gauss_state, wy)
         mats.append(moments.reshape(len(moments), -1))
-        cols.append(w[rows])
+        cols.append(w)
     for state, block, ztilde in zip(cat_states, data.categoricals, ztildes):
-        base, rm = mmod.multinomial_score_terms(state, ztilde[rows])
+        base, rm = mmod.multinomial_score_terms(state, ztilde)
         mats.append(base.reshape(1, -1))
         cols.append(block.trials[rows, None])
         rho = rho + rm
@@ -274,12 +366,6 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
     stacked, weight = np.concatenate(mats), np.concatenate(cols, axis=1)
     H = (stacked.T @ weight.T).reshape(k, k, -1).transpose(2, 0, 1)
     return H, rho
-
-
-def _categorical_sweep(block, C, ztilde):
-    state = mmod.multinomial_e_step(C, block.trials, ztilde, block.n_categories)
-    state.expansion = mmod.psi_update(state.loading_mean, C)
-    return state
 
 
 def fit(data, spec, callback=None):
@@ -290,18 +376,22 @@ def fit(data, spec, callback=None):
     exactly one iteration and reports converged=False, which is useful
     for smoke tests.
 
-    Each iteration updates the Gaussian posterior and noise variances,
-    sweeps every categorical block, then takes the score step: for one
-    block of instances at a time it builds the score system with
-    :func:`score_system`, solves it for the new scores and reads the
-    block's share of the objective off it. The Gaussian weights at the
-    new noise variances serve this score step and the next E-step; the
-    adjusted counts and bound offsets at each block's new expansion
-    points serve this score step, the objective and the next sweep.
+    Each iteration finishes the Gaussian and categorical loading
+    posteriors from sums over the instances (:func:`_global_step`), then
+    walks the blocks of instances once (:func:`_walk`). Each block takes
+    its noise-variance M-step and expansion points at its current scores,
+    builds its score system with :func:`score_system`, solves it for new
+    scores, reads its share of the objective off it, and adds its share
+    of the sums the next iteration's posteriors are finished from.
+    trace[0] comes from the same walk at the initial state, without the
+    solve and the updates. Beyond the returned arrays a fit holds one
+    block's working set, so its memory grows with P only through its
+    outputs and the data.
 
     callback, if given, is invoked after every iteration as
     callback(iteration, snapshot) where snapshot is a FittedModel sharing
-    the live state arrays (copy anything kept beyond the call).
+    the live state arrays, which the next iteration overwrites (copy
+    anything kept beyond the call).
     """
     if not isinstance(spec, ModelSpec):
         raise TypeError("spec must be a ModelSpec")
@@ -330,47 +420,25 @@ def fit(data, spec, callback=None):
     ]
 
     log_coefficient = _log_coefficient(data)
-    Y, weights = _observed_weights(data, sigma2)
-    ztildes, offsets = _adjusted_counts(data, cat_states)
-    _, quadratic = _score_step(
-        data, spec, C, gauss_state, weights, cat_states, ztildes, solve=False
+    blocks, sums = _walk(
+        data, spec, C, gauss_state, cat_states, sigma2, update=False
     )
-    trace = [
-        quadratic + _score_free_terms(
-            data, spec, gauss_state, sigma2, Y, weights, cat_states, offsets,
-            log_coefficient,
-        )
-    ]
+    trace = [blocks + _posterior_terms(gauss_state, cat_states) + log_coefficient]
     seconds = []
     stopped_early = False
     iterations = 0
     for iteration in range(1, spec.max_iters + 1):
         start = time.perf_counter()
         try:
-            if data.gaussian is not None:
-                gauss_state = gmod._e_step(C, *weights)
-                weights = None  # free them before the M-step's temporaries
-                sigma2 = gmod.gaussian_m_step(
-                    gauss_state, C, Y, data.mask, spec.alpha, spec.beta
-                )
-                weights = gmod._weighted(sigma2, Y, data.mask)
-            # the adjusted counts at the new expansion points feed both this
-            # score step and the next iteration's categorical sweep
-            cat_states = [
-                _categorical_sweep(block, C, ztilde)
-                for block, ztilde in zip(data.categoricals, ztildes)
-            ]
-            ztildes, offsets = _adjusted_counts(data, cat_states)
-            C, quadratic = _score_step(
-                data, spec, C, gauss_state, weights, cat_states, ztildes
+            gauss_state, cat_states = _global_step(data, sums, cat_states)
+            blocks, sums = _walk(
+                data, spec, C, gauss_state, cat_states, sigma2, update=True
+            )
+            objective = (
+                blocks + _posterior_terms(gauss_state, cat_states) + log_coefficient
             )
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
-
-        objective = quadratic + _score_free_terms(
-            data, spec, gauss_state, sigma2, Y, weights, cat_states, offsets,
-            log_coefficient,
-        )
         seconds.append(time.perf_counter() - start)
         trace.append(objective)
         iterations = iteration

@@ -114,7 +114,9 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
     product C (.) C. They are symmetric positive definite by construction
     and are factored by one batched Cholesky call, L_j L_j^T, giving
     cov_j = L_j^-T L_j^-1. A precision that is not finite or not positive
-    definite raises NumericalError naming the first such feature.
+    definite raises NumericalError naming the first such feature. The
+    work is sums over the instances (:func:`_e_step_sums`), which a fit
+    adds up block by block, then a shared finish (:func:`_e_step_finish`).
     """
     C = np.asarray(C, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -126,19 +128,26 @@ def gaussian_e_step(C, sigma2, Y, mask=None):
         )
     if np.any(sigma2 <= 0):
         raise ValueError("noise variances must be strictly positive")
-    return _e_step(C, *_weighted(sigma2, _observed(Y, mask), mask))
+    weights = _weighted(sigma2, _observed(Y, mask), mask)
+    return _e_step_finish(*_e_step_sums(C, *weights))
 
 
-def _e_step(C, w, wy):
-    """:func:`gaussian_e_step` from the weights of :func:`_weighted`."""
+def _e_step_sums(C, w, wy):
+    """The sums the loading posteriors read, over the instances of C
+    (K, P) with weights (w, w * Y) from :func:`_weighted`: the flattened
+    precision sums sum_i w_ij c_i c_i^T, (K^2, D1), and C (w * Y), (K, D1).
+    Both are sums over instances, so a fit adds them up block by block."""
     k = C.shape[0]
-    d1 = w.shape[1]
-    prec_flat = np.zeros((k * k, d1))
+    prec_flat = np.zeros((k * k, w.shape[1]))
     for rows, block in _khatri_rao_blocks(C):
         prec_flat += block.T @ w[rows]
-    prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
-    rhs = C @ wy  # (K, D1)
+    return prec_flat, C @ wy
 
+
+def _e_step_finish(prec_flat, rhs):
+    """:func:`gaussian_e_step` from the sums of :func:`_e_step_sums`."""
+    k, d1 = rhs.shape
+    prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
     chol = _cholesky(prec)
     if chol is None:
         j = next((j for j, m in enumerate(prec) if _cholesky(m) is None), None)
@@ -157,19 +166,26 @@ def gaussian_m_step(state, C, Y, mask=None, alpha=1.0, beta=0.1):
 
         ((y - mean_j.c)^2 + c^T cov_j c + 2/beta) / (2 (alpha + 1) + 1)
 
-    Masked-out entries are pinned to the prior mode. A small floor keeps
-    downstream divisions finite when a feature is fit exactly.
+    Masked-out entries are pinned to the prior mode. Y must be finite
+    there (:func:`_observed` zeroes them), because they are pinned by the
+    in-place blend sigma2 * mask + prior * ~mask, which is exact only for
+    a finite sigma2 and costs less than np.where on a scattered mask. A
+    small floor keeps downstream divisions finite when a feature is fit
+    exactly.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     C = np.asarray(C, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    resid = Y - C.T @ state.mean.T
-    quad = _quadratic_form(C, state.cov)
-    sigma2 = (resid**2 + quad + 2.0 / beta) / (2.0 * (alpha + 1.0) + 1.0)
+    sigma2 = Y - C.T @ state.mean.T
+    np.square(sigma2, out=sigma2)
+    sigma2 += _quadratic_form(C, state.cov)
+    sigma2 += 2.0 / beta
+    sigma2 /= 2.0 * (alpha + 1.0) + 1.0
     if mask is not None:
-        sigma2 = np.where(mask, sigma2, prior_mode_variance(alpha, beta))
-    return np.maximum(sigma2, VARIANCE_FLOOR)
+        sigma2 *= mask
+        sigma2 += prior_mode_variance(alpha, beta) * ~mask
+    return np.maximum(sigma2, VARIANCE_FLOOR, out=sigma2)
 
 
 def gaussian_score_terms(state, wy):
@@ -190,8 +206,8 @@ def gaussian_score_terms(state, wy):
     return moments, wy @ state.mean
 
 
-def gaussian_score_free_terms(state, sigma2, Y, mask, weights, alpha, beta):
-    """Part of the Gaussian objective contribution free of the scores.
+def gaussian_entry_terms(sigma2, Y, mask, weights, alpha, beta):
+    """Per-entry part of the Gaussian objective that is free of the scores.
 
     The full contribution is the expected data log-density, the loading
     prior cross-entropy, the loading posterior entropy and the
@@ -199,11 +215,12 @@ def gaussian_score_free_terms(state, sigma2, Y, mask, weights, alpha, beta):
     E_q[(y_ij - u_j.c_i)^2] = y_ij^2 - 2 y_ij mean_j.c_i
     + c_i^T (cov_j + mean_j mean_j^T) c_i leaves the score-dependent part
     rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
-    :func:`gaussian_score_terms`; this returns everything else. Y comes
-    from :func:`_observed` and weights (w, w * Y) from :func:`_weighted`
-    at sigma2.
+    :func:`gaussian_score_terms` and the per-feature part of
+    :func:`gaussian_posterior_terms`; this returns the rest, a sum over
+    the observed entries of the instances given. Y comes from
+    :func:`_observed` and weights (w, w * Y) from :func:`_weighted` at
+    sigma2.
     """
-    k = state.n_factors
     rate = 1.0 / beta
     w, wy = weights
     log_sigma2 = np.log(sigma2)
@@ -220,12 +237,18 @@ def gaussian_score_free_terms(state, sigma2, Y, mask, weights, alpha, beta):
         + 0.5 * np.vdot(Y, wy)
         + rate * w.sum()
     )
-    # E_q[log N(u_j; 0, I)] + H(q_j) per feature
+    return float(total)
+
+
+def gaussian_posterior_terms(state):
+    """E_q[log N(u_j; 0, I)] + H(q_j) summed over the features: the
+    Gaussian objective's part that depends on the loading posteriors
+    alone (see :func:`gaussian_entry_terms`)."""
+    k = state.n_factors
     sign, logdet = np.linalg.slogdet(state.cov)
     if np.any(sign <= 0):
         raise NumericalError("loading posterior covariance is not positive definite")
     traces = np.trace(state.cov, axis1=1, axis2=2)
-    total += np.sum(
+    return float(np.sum(
         -0.5 * (np.sum(state.mean**2, axis=1) + traces) + 0.5 * logdet + 0.5 * k
-    )
-    return float(total)
+    ))

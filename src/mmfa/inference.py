@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as gmod
 from . import multinomial as mmod
-from .engine import score_system, solve_scores_batch
+from .engine import _local_step, solve_scores_batch
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
 from .expfam import softmax_pivot
 
@@ -65,9 +65,11 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     at the prior mode) until the scores stop moving. Every step ascends
     the same per-instance objective, so the alternation is a monotone
     fixed-point iteration, and a converged training instance re-scores to
-    its training solution. Each step builds and solves the score system
-    (:func:`engine.score_system`) one block of instances at a time, as the
-    fit does.
+    its training solution. Each step walks the blocks of instances and
+    gives each the fit's local step (:func:`engine._local_step`): noise
+    variances and expansion points at the block's scores, then its score
+    system (:func:`engine.score_system`), which is solved for the new
+    scores.
 
     The reported log-likelihood integrates the Gaussian loadings out at
     the prior-mode noise variance; the iterated per-instance variances
@@ -76,48 +78,41 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     _check_scorable(model, data)
     spec = model.spec
     p, k = data.n_instances, model.n_factors
-
-    mask = None
-    Y = weights = None
     prior_mode = gmod.prior_mode_variance(spec.alpha, spec.beta)
-    if data.gaussian is not None:
-        mask = data.observed_mask()
-        Y = gmod._observed(data.gaussian, mask)
-        weights = gmod._weighted(np.full(Y.shape, prior_mode), Y, mask)
 
     C = np.zeros((p, k))
-    expansions = [
-        np.zeros((p, state.n_categories - 1)) for state in model.categoricals
-    ]
-    for _ in range(max_inner):
-        ztildes = [
-            mmod.adjusted_counts(block.counts, block.trials, psi, block.n_categories)
-            for block, psi in zip(data.categoricals, expansions)
-        ]
-        new_C = np.empty_like(C)
+    for step in range(max_inner):
+        moved = 0.0
         for rows in gmod._instance_blocks(p):
-            H, rho = score_system(
-                data, model.gaussian, weights, model.categoricals, ztildes, rows
+            # the first step starts from prior-mode noise variances and zero
+            # expansion points; later steps update both at the block's scores
+            sigma2 = psis = None
+            if step == 0:
+                b = C[rows].shape[0]
+                sigma2 = np.full((b, data.n_gaussian), prior_mode)
+                psis = [
+                    np.zeros((b, state.n_categories - 1))
+                    for state in model.categoricals
+                ]
+            blk = _local_step(
+                data, spec, model.gaussian, model.categoricals, C[rows].T, rows,
+                sigma2=sigma2, psis=psis,
             )
-            new_C[rows] = solve_scores_batch(
-                H, rho, spec.score_update, spec.ridge_weight, warm_start=C[rows]
+            c = solve_scores_batch(
+                blk.H, blk.rho, spec.score_update, spec.ridge_weight,
+                warm_start=C[rows],
             )
-        moved = np.abs(new_C - C).max() if p else 0.0
-        C = new_C
-        if data.gaussian is not None:
-            sigma2 = gmod.gaussian_m_step(
-                model.gaussian, C.T, Y, mask, spec.alpha, spec.beta
-            )
-            weights = gmod._weighted(sigma2, Y, mask)
-        expansions = [
-            mmod.psi_update(state.loading_mean, C.T)
-            for state in model.categoricals
-        ]
+            moved = max(moved, float(np.abs(c - C[rows]).max()))
+            C[rows] = c
         if moved < tol:
             break
+    expansions = [
+        mmod.psi_update(state.loading_mean, C.T) for state in model.categoricals
+    ]
 
     loglik = np.zeros(p)
     if data.gaussian is not None:
+        mask = data.observed_mask()
         predictive_var = np.full(data.gaussian.shape, prior_mode)
         loglik += _gaussian_predictive(
             model, C.T, data.gaussian, mask, predictive_var

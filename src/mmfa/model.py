@@ -221,16 +221,37 @@ def save_model(model, path):
 
 
 def _read_array(entry, blob):
+    """One array of the manifest: inline values, or read from the open
+    sidecar blob straight into its own buffer (no copy of the blob is
+    held)."""
     shape = tuple(entry["shape"])
+    if any(n < 0 for n in shape) or entry.get("offset", 0) < 0:
+        raise SchemaError("array entry has a negative shape or offset")
     count = int(np.prod(shape)) if shape else 1
     if "values" in entry:
         flat = np.asarray(entry["values"], dtype=float)
+        complete = flat.size == count
     else:
-        start = entry["offset"]
-        flat = np.frombuffer(blob[start : start + count * 8], dtype="<f8")
-    if flat.size != count:
+        flat = np.empty(count, dtype="<f8")
+        blob.seek(entry["offset"])
+        complete = blob.readinto(flat) == flat.nbytes
+    if not complete:
         raise SchemaError("array payload does not match its declared shape")
     return flat.reshape(shape, order="F").copy()
+
+
+def _read_arrays(doc, path):
+    """Every array of the manifest at path, from its sidecar blob if it
+    has one."""
+    entries = doc["arrays"]
+    if "blob" not in doc:
+        return {name: _read_array(entry, None) for name, entry in entries.items()}
+    blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["blob"])
+    try:
+        with open(blob_path, "rb") as blob:
+            return {name: _read_array(entry, blob) for name, entry in entries.items()}
+    except OSError as exc:
+        raise SchemaError(f"model blob {blob_path} unreadable: {exc}") from exc
 
 
 def load_model(path):
@@ -251,18 +272,8 @@ def load_model(path):
             f"model schema version {doc['schema_version']} is not supported "
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
-    blob = b""
-    if "blob" in doc:
-        blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["blob"])
-        try:
-            with open(blob_path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"model blob {blob_path} unreadable: {exc}") from exc
     try:
-        arrays = {
-            name: _read_array(entry, blob) for name, entry in doc["arrays"].items()
-        }
+        arrays = _read_arrays(doc, path)
         spec = ModelSpec(**doc["spec"])
         gaussian = None
         noise = None

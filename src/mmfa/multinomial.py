@@ -159,6 +159,9 @@ def multinomial_e_step(C, trials, ztilde, n_categories):
 
     Solves go through Cholesky factorizations of the two SPD K x K
     matrices; the (D2-1)K-dimensional posterior is never materialized.
+    The work is sums over the instances (:func:`_e_step_sums`), which a
+    fit adds up block by block, then a shared finish
+    (:func:`_e_step_finish`).
     """
     C = np.asarray(C, dtype=float)
     trials = np.asarray(trials, dtype=float)
@@ -173,8 +176,21 @@ def multinomial_e_step(C, trials, ztilde, n_categories):
     if np.any(trials < 0):
         raise ValueError("trials must be nonnegative")
 
+    return _e_step_finish(*_e_step_sums(C, trials, ztilde), n_categories)
+
+
+def _e_step_sums(C, trials, ztilde):
+    """The sums :func:`multinomial_e_step` reads, over the instances of
+    C (K, P): C diag(trials) C^T and C ztilde. A fit adds them up block
+    by block."""
+    return (C * trials) @ C.T, C @ ztilde
+
+
+def _e_step_finish(gram, cz, n_categories):
+    """:func:`multinomial_e_step` from the sums of :func:`_e_step_sums`."""
+    k = gram.shape[0]
     eye = np.eye(k)
-    precision = 0.5 * (C * trials) @ C.T + eye
+    precision = 0.5 * gram + eye
     precision_inv = spd_solve(precision, eye, "block precision")
     residual = eye - precision_inv
     inner = spd_solve(
@@ -183,10 +199,8 @@ def multinomial_e_step(C, trials, ztilde, n_categories):
     cross_cov = residual / n_categories @ (precision_inv + inner)
     cross_cov = 0.5 * (cross_cov + cross_cov.T)
 
-    loading_mean = precision_inv @ (C @ ztilde)
-    loading_mean += np.outer(
-        cross_cov @ (C @ ztilde.sum(axis=1)), np.ones(n_categories - 1)
-    )
+    loading_mean = precision_inv @ cz
+    loading_mean += np.outer(cross_cov @ cz.sum(axis=1), np.ones(n_categories - 1))
     return MultinomialState(
         n_categories=n_categories,
         precision=precision,
@@ -279,23 +293,22 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
     )
 
 
-def multinomial_score_free_terms(state, trials, offset):
-    """Part of the modality's objective contribution free of the scores.
+def multinomial_posterior_terms(state):
+    """The modality's objective part that depends on its posterior alone.
 
     The full contribution is the expected bounded log-likelihood plus the
     loading prior cross-entropy and posterior entropy, all evaluated with
     the structured covariance. Its score-dependent part is
     rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * base from
-    :func:`multinomial_score_terms`; this returns everything else except
-    the data-only :func:`log_multinomial_coefficient`. offset is the
-    bound offset at the state's expansion points, from
-    :func:`adjusted_counts` with return_offset.
+    :func:`multinomial_score_terms`, and each instance adds
+    -trials_i * offset_i with the bound offset of :func:`adjusted_counts`
+    and the data-only :func:`log_multinomial_coefficient`; this returns
+    the prior cross-entropy and the posterior entropy.
     """
     k = state.n_factors
     d = state.n_categories - 1
-    total = -float(np.asarray(trials, dtype=float) @ offset)
     tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
-    total += -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
+    total = -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
     # log det of the structured covariance: (d-1) blocks of inv(precision)
     # plus one block inv(precision) + d * cross_cov along the ones direction
     sign, logdet_prec = np.linalg.slogdet(state.precision)
@@ -304,7 +317,7 @@ def multinomial_score_free_terms(state, trials, offset):
     if sign <= 0 or sign2 <= 0:
         raise NumericalError("structured posterior covariance lost definiteness")
     total += 0.5 * (-(d - 1) * logdet_prec + logdet_ones)
-    return total
+    return float(total)
 
 
 def posterior_covariance_dense(state):

@@ -28,6 +28,19 @@ from mmfa import multinomial as mmod
 from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch
 
 
+def model_arrays(model):
+    """Every array a fitted model holds."""
+    arrays = [model.scores]
+    if model.gaussian is not None:
+        arrays += [model.gaussian.mean, model.gaussian.cov, model.noise_variance]
+    for state in model.categoricals:
+        arrays += [
+            state.precision, state.precision_inv, state.cross_cov,
+            state.loading_mean, state.expansion,
+        ]
+    return arrays
+
+
 def small_dataset(seed=0, p=40, with_missing=False):
     cfg = GeneratorConfig(
         n_factors=2,
@@ -527,6 +540,29 @@ class TestInstanceBlocks:
         assert fit_peak < stack and score_peak < stack, (fit_peak, score_peak, stack)
 
 
+    def test_fit_memory_bounded_by_a_block(self, monkeypatch):
+        # beyond the arrays it returns, a fit holds one block's working
+        # set: its traced peak stays below a single (P, D1) float64 array
+        p, d1 = 40 * self.CHUNK + 5, 40
+        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        data = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=p, n_gaussian=d1, n_categories=(3,),
+                n_trials=5, missing_fraction=0.2, seed=33,
+            )
+        ).dataset
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = fit(data, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in model_arrays(model))
+        assert peak - outputs < p * d1 * 8, (peak, outputs, p * d1 * 8)
+
+
 class TestSelectK:
     @pytest.mark.filterwarnings("ignore:n_factors")
     @pytest.mark.slow
@@ -657,6 +693,47 @@ class TestModelIO:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(mmfa.SchemaError):
             load_model(path)
+
+    def test_truncated_blob_schema_error(self, tmp_path, monkeypatch):
+        import mmfa.model as model_module
+
+        monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
+        synth = small_dataset(seed=1, p=10)
+        model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
+        path = tmp_path / "model.mmfa"
+        save_model(model, path)
+        blob = tmp_path / "model.mmfa.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(mmfa.SchemaError, match="payload"):
+            load_model(path)
+        blob.unlink()
+        with pytest.raises(mmfa.SchemaError, match="unreadable"):
+            load_model(path)
+
+    def test_sidecar_load_reads_each_array_into_its_own_buffer(self, tmp_path):
+        # the traced peak of a load holds the arrays it returns plus one
+        # array in flight, not a copy of the whole blob
+        cfg = GeneratorConfig(
+            n_factors=2, n_instances=14000, n_gaussian=6, n_categories=(4,),
+            n_trials=2, seed=2,
+        )
+        model = fit(
+            sample_dataset(cfg).dataset,
+            ModelSpec(n_factors=2, max_iters=2, tol=1e-300, seed=1),
+        )
+        path = tmp_path / "big.mmfa"
+        save_model(model, path)
+        assert (tmp_path / "big.mmfa.bin").exists()
+        sizes = [a.nbytes for a in model_arrays(model)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.noise_variance, model.noise_variance)
+        assert peak <= sum(sizes) + max(sizes) + 64 * 1024, (peak, sum(sizes))
 
     def test_version_mismatch_refused(self, tmp_path):
         synth = small_dataset(seed=1, p=10)

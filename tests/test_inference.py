@@ -24,7 +24,8 @@ from mmfa import (
     score_dataset,
     score_instance,
 )
-from mmfa.engine import _observed_weights, score_system, solve_scores_batch
+from mmfa import gaussian as gmod
+from mmfa.engine import score_system, solve_scores_batch
 from mmfa.multinomial import adjusted_counts
 from mmfa.inference import anomaly_threshold, predict_gaussian
 
@@ -150,7 +151,9 @@ class TestSharedScoreSystem:
     def test_final_solve_reproduces_fitted_scores(self, masked_two_blocks):
         # fit updates no state after its last score solve
         data, model = masked_two_blocks
-        _, weights = _observed_weights(data, model.noise_variance)
+        weights = gmod._weighted(
+            model.noise_variance, gmod._observed(data.gaussian, data.mask), data.mask
+        )
         H, rho = score_system(
             data, model.gaussian, weights, model.categoricals,
             [
@@ -215,6 +218,17 @@ class TestHiddenEntries:
             score_dataset(nan_model, nan_data), score_dataset(finite_model, data)
         ):
             np.testing.assert_array_equal(got, want)
+
+    def test_validate_reads_only_observed_entries(self):
+        Y = np.arange(6.0).reshape(3, 2)
+        mask = np.array([[True, False], [True, True], [False, True]])
+        Y[0, 1] = Y[2, 0] = np.nan
+        HeteroDataset(gaussian=Y, mask=mask)  # NaN only where hidden
+        Y[1, 0] = np.nan
+        with pytest.raises(ValueError, match="observed gaussian entries must be finite"):
+            HeteroDataset(gaussian=Y, mask=mask)
+        with pytest.raises(ValueError, match="observed gaussian entries must be finite"):
+            HeteroDataset(gaussian=np.where(mask, Y, 0.0))  # no mask: all observed
 
 
 class TestPredictiveLikelihood:
