@@ -108,21 +108,26 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     return blk
 
 
-def _walk(data, spec, C, gauss_state, cat_states, sigma2, update):
-    """One pass over the instance blocks; returns (objective part, sums).
+def _walk(data, model, log_coefficient, update):
+    """One pass over the instance blocks; returns (objective, sums).
 
-    With update (a fit iteration) each block takes its local step at its
-    current scores, writes its noise variances into sigma2 and its
-    expansion points into each categorical state's expansion array, and
-    solves for new scores, written into C. Without, each block reads
-    sigma2 and the expansion points as they are and C is kept. The
-    objective part is the blocks' share at the scores C then holds: the
-    quadratic sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2) with
-    (H, rho) the unridged score system, plus the per-entry and
-    per-instance terms free of the scores. The sums, at the same scores,
-    are what :func:`_global_step` reads: the Gaussian precision sums and
+    model holds the state the pass reads and, with update, writes. With
+    update (a fit iteration) each block takes its local step at its
+    current scores, writes its noise variances into model.noise_variance
+    and its expansion points into each categorical state's expansion
+    array, and solves for new scores, written into model.scores. Without,
+    each block reads the noise variances and expansion points as they are
+    and the scores are kept. The objective is the surrogate at the scores
+    the model then holds: the blocks' quadratic sum_i (rho_i^T c_i -
+    c_i^T (H_i + ridge I) c_i / 2) with (H, rho) the unridged score
+    system, plus the per-entry and per-instance terms free of the scores,
+    then the terms of the loading posteriors alone and log_coefficient
+    (:func:`_log_coefficient` of data). The sums, at the same scores, are
+    what :func:`_global_step` reads: the Gaussian precision sums and
     C (w * Y), then C diag(N) C^T and C ztilde per categorical block.
     """
+    spec, C, sigma2 = model.spec, model.scores, model.noise_variance
+    gauss_state, cat_states = model.gaussian, model.categoricals
     lam = spec.effective_ridge
     k = C.shape[0]
     total = 0.0
@@ -167,7 +172,7 @@ def _walk(data, spec, C, gauss_state, cat_states, sigma2, update):
             parts += mmod._e_step_sums(c.T, block.trials[rows], ztilde)
         for acc, part in zip(sums, parts):
             acc += part
-    return total, sums
+    return total + _posterior_terms(gauss_state, cat_states) + log_coefficient, sums
 
 
 def _global_step(data, sums, cat_states):
@@ -219,15 +224,8 @@ def surrogate_objective(model, data):
     model state.
     """
     model.check_compatible(data)
-    blocks, _ = _walk(
-        data, model.spec, model.scores, model.gaussian, model.categoricals,
-        model.noise_variance, update=False,
-    )
-    return (
-        blocks
-        + _posterior_terms(model.gaussian, model.categoricals)
-        + _log_coefficient(data)
-    )
+    objective, _ = _walk(data, model, _log_coefficient(data), update=False)
+    return objective
 
 
 def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
@@ -389,9 +387,9 @@ def fit(data, spec, callback=None):
     outputs and the data.
 
     callback, if given, is invoked after every iteration as
-    callback(iteration, snapshot) where snapshot is a FittedModel sharing
-    the live state arrays, which the next iteration overwrites (copy
-    anything kept beyond the call).
+    callback(iteration, model) with the FittedModel the fit returns,
+    whose states, arrays and trace the next iteration overwrites or
+    extends (copy anything kept beyond the call).
     """
     if not isinstance(spec, ModelSpec):
         raise TypeError("spec must be a ModelSpec")
@@ -402,77 +400,42 @@ def fit(data, spec, callback=None):
 
     k, p = spec.n_factors, data.n_instances
     rng = np.random.default_rng(spec.seed)
-    C = 0.1 * rng.standard_normal((k, p))
-
-    gauss_state = None
-    sigma2 = None
+    model = FittedModel(spec=spec, scores=0.1 * rng.standard_normal((k, p)))
     if data.gaussian is not None:
         d1 = data.n_gaussian
-        gauss_state = gmod.GaussianState(
+        model.gaussian = gmod.GaussianState(
             mean=np.zeros((d1, k)),
             cov=np.broadcast_to(np.eye(k), (d1, k, k)).copy(),
         )
-        sigma2 = np.full(
+        model.noise_variance = np.full(
             (p, d1), gmod.prior_mode_variance(spec.alpha, spec.beta)
         )
-    cat_states = [
+    model.categoricals = [
         _prior_multinomial_state(b.n_categories, k, p) for b in data.categoricals
     ]
-
     log_coefficient = _log_coefficient(data)
-    blocks, sums = _walk(
-        data, spec, C, gauss_state, cat_states, sigma2, update=False
-    )
-    trace = [blocks + _posterior_terms(gauss_state, cat_states) + log_coefficient]
-    seconds = []
-    stopped_early = False
-    iterations = 0
+    objective, sums = _walk(data, model, log_coefficient, update=False)
+    model.objective_trace.append(objective)
     for iteration in range(1, spec.max_iters + 1):
         start = time.perf_counter()
         try:
-            gauss_state, cat_states = _global_step(data, sums, cat_states)
-            blocks, sums = _walk(
-                data, spec, C, gauss_state, cat_states, sigma2, update=True
+            model.gaussian, model.categoricals = _global_step(
+                data, sums, model.categoricals
             )
-            objective = (
-                blocks + _posterior_terms(gauss_state, cat_states) + log_coefficient
-            )
+            objective, sums = _walk(data, model, log_coefficient, update=True)
         except NumericalError as exc:
             raise NumericalError(f"iteration {iteration}: {exc}") from exc
-        seconds.append(time.perf_counter() - start)
-        trace.append(objective)
-        iterations = iteration
+        model.iteration_seconds.append(time.perf_counter() - start)
+        model.objective_trace.append(objective)
+        model.iterations_run = iteration
         if callback is not None:
-            callback(
-                iteration,
-                FittedModel(
-                    spec=spec,
-                    scores=C,
-                    gaussian=gauss_state,
-                    noise_variance=sigma2,
-                    categoricals=cat_states,
-                    objective_trace=trace.copy(),
-                    iterations_run=iteration,
-                    converged=False,
-                ),
-            )
-        previous = trace[-2]
+            callback(iteration, model)
+        previous = model.objective_trace[-2]
         rel_change = abs(objective - previous) / max(abs(previous), 1e-12)
         if rel_change < spec.tol:
-            stopped_early = True
+            model.converged = math.isfinite(spec.tol)
             break
-
-    return FittedModel(
-        spec=spec,
-        scores=C,
-        gaussian=gauss_state,
-        noise_variance=sigma2,
-        categoricals=cat_states,
-        objective_trace=trace,
-        iterations_run=iterations,
-        converged=stopped_early and math.isfinite(spec.tol),
-        iteration_seconds=seconds,
-    )
+    return model
 
 
 def select_k(data, k_candidates, spec, holdout_fraction=0.2):

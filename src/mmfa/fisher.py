@@ -31,11 +31,6 @@ class FisherResult:
     gaussian: np.ndarray  # (K, K)
     multinomial: np.ndarray  # (K, K)
     crlb: float
-    n_replicates: int
-
-    @property
-    def total(self):
-        return self.gaussian + self.multinomial
 
     @property
     def crlb_gaussian(self):
@@ -184,21 +179,14 @@ def crlb(c, gaussian=None, multinomial=None, n_replicates=2000, seed=0):
             f_mult += multinomial_fisher_mc(
                 c, n_replicates=n_replicates, seed=seed + m, **block
             )
-    total = f_gauss + f_mult
-    try:
-        factor = cho_factor(total, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("combined Fisher information is singular") from exc
-    bound = float(np.trace(cho_solve(factor, np.eye(k))))
-    return FisherResult(
-        gaussian=f_gauss,
-        multinomial=f_mult,
-        crlb=bound,
-        n_replicates=n_replicates,
-    )
+    bound = _trace_inverse(f_gauss + f_mult)
+    if math.isinf(bound):
+        raise NumericalError("combined Fisher information is singular")
+    return FisherResult(gaussian=f_gauss, multinomial=f_mult, crlb=bound)
 
 
 def _trace_inverse(matrix):
+    """Trace of the inverse of an SPD matrix, or inf if it is singular."""
     try:
         factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError:
@@ -279,12 +267,8 @@ def aligned_score_mse(estimated, truth):
     return float(np.sum(diff**2) / truth.shape[1])
 
 
-def mse_experiment(config, progress=None):
-    """Run the score-recovery experiment; see :class:`MseExperimentConfig`.
-
-    progress, if given, is called as progress(seed_index, n_seeds) before
-    each repetition.
-    """
+def mse_experiment(config):
+    """Run the score-recovery experiment; see :class:`MseExperimentConfig`."""
     from .engine import fit
     from .model import ModelSpec
     from .synth import GeneratorConfig, sample_dataset
@@ -294,8 +278,6 @@ def mse_experiment(config, progress=None):
     crlb_gauss = []
     crlb_mult = []
     for rep in range(config.n_seeds):
-        if progress is not None:
-            progress(rep, config.n_seeds)
         data_seed = config.seed + rep
         synth = sample_dataset(
             GeneratorConfig(

@@ -56,24 +56,27 @@ def _check_scorable(model, data):
         )
 
 
-def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
+def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
     """Score every instance of a dataset against a frozen model.
 
     Returns (scores, log_predictive) with scores of shape (K, P). Each
     instance's quadratic program alternates with the expansion-point map
     psi = loading_mean^T c and with its own noise-variance update (seeded
-    at the prior mode) until the scores stop moving. Every step ascends
-    the same per-instance objective, so the alternation is a monotone
-    fixed-point iteration, and a converged training instance re-scores to
-    its training solution. Each step walks the blocks of instances and
-    gives each the fit's local step (:func:`engine._local_step`): noise
-    variances and expansion points at the block's scores, then its score
-    system (:func:`engine.score_system`), which is solved for the new
-    scores.
+    at the prior mode) until the scores move by less than INNER_TOL or
+    max_inner steps have run. Every step ascends the same per-instance
+    objective, so the alternation is a monotone fixed-point iteration,
+    and a converged training instance re-scores to its training solution.
+    Each step walks the blocks of instances and gives each the fit's
+    local step (:func:`engine._local_step`): noise variances and
+    expansion points at the block's scores, then its score system
+    (:func:`engine.score_system`), which is solved for the new scores.
 
-    The reported log-likelihood integrates the Gaussian loadings out at
-    the prior-mode noise variance; the iterated per-instance variances
-    affect only where the scores land.
+    The log-likelihood is read in one more pass over the same blocks, so
+    beyond its outputs scoring holds one block's working set. Its
+    Gaussian part integrates the loadings out at the prior-mode noise
+    variance; the iterated per-instance variances affect only where the
+    scores land. Its categorical part is the expected bound at the
+    expansion points of the final scores.
     """
     _check_scorable(model, data)
     spec = model.spec
@@ -84,19 +87,13 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
     for step in range(max_inner):
         moved = 0.0
         for rows in gmod._instance_blocks(p):
-            # the first step starts from prior-mode noise variances and zero
-            # expansion points; later steps update both at the block's scores
-            sigma2 = psis = None
-            if step == 0:
-                b = C[rows].shape[0]
-                sigma2 = np.full((b, data.n_gaussian), prior_mode)
-                psis = [
-                    np.zeros((b, state.n_categories - 1))
-                    for state in model.categoricals
-                ]
+            # the first step starts from prior-mode noise variances; its
+            # expansion points, psi at C = 0, are zero
+            b = C[rows].shape[0]
+            sigma2 = np.full((b, data.n_gaussian), prior_mode) if step == 0 else None
             blk = _local_step(
                 data, spec, model.gaussian, model.categoricals, C[rows].T, rows,
-                sigma2=sigma2, psis=psis,
+                sigma2=sigma2,
             )
             c = solve_scores_batch(
                 blk.H, blk.rho, spec.score_update, spec.ridge_weight,
@@ -104,37 +101,38 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS, tol=INNER_TOL):
             )
             moved = max(moved, float(np.abs(c - C[rows]).max()))
             C[rows] = c
-        if moved < tol:
+        if moved < INNER_TOL:
             break
-    expansions = [
-        mmod.psi_update(state.loading_mean, C.T) for state in model.categoricals
-    ]
 
     loglik = np.zeros(p)
-    if data.gaussian is not None:
-        mask = data.observed_mask()
-        predictive_var = np.full(data.gaussian.shape, prior_mode)
-        loglik += _gaussian_predictive(
-            model, C.T, data.gaussian, mask, predictive_var
-        )
-    for state, block, psi in zip(model.categoricals, data.categoricals, expansions):
-        loglik += mmod.expected_bound_loglik(
-            state, block.counts, block.trials, psi, C.T
-        )
+    for rows in gmod._instance_blocks(p):
+        c = C[rows].T
+        if data.gaussian is not None:
+            mask = None if data.mask is None else data.mask[rows]
+            loglik[rows] += _gaussian_predictive(
+                model.gaussian, c, data.gaussian[rows], mask, prior_mode
+            )
+        for state, block in zip(model.categoricals, data.categoricals):
+            psi = mmod.psi_update(state.loading_mean, c)
+            loglik[rows] += mmod.expected_bound_loglik(
+                state, block.counts[rows], block.trials[rows], psi, c
+            )
     return C.T, loglik
 
 
-def _gaussian_predictive(model, C, Y, mask, sigma2):
+def _gaussian_predictive(state, C, Y, mask, sigma2):
     """Exact marginal log-density of observed entries given scores.
 
     The loading posterior integrates out in closed form:
-    y_ij | c ~ Normal(mean_j . c, c^T cov_j c + sigma2_ij).
+    y_ij | c ~ Normal(mean_j . c, c^T cov_j c + sigma2_ij). Hidden
+    entries (mask False) may hold NaN and add nothing.
     """
-    state = model.gaussian
     mu = C.T @ state.mean.T
     var = gmod._quadratic_form(C, state.cov) + sigma2
     terms = -0.5 * (np.log(2.0 * np.pi * var) + (Y - mu) ** 2 / var)
-    return np.where(mask, terms, 0.0).sum(axis=1)
+    if mask is not None:
+        terms = np.where(mask, terms, 0.0)
+    return terms.sum(axis=1)
 
 
 def score_instance(model, data, i):
@@ -230,7 +228,6 @@ def recall_at_k(
     train_mask,
     k=10,
     like_threshold=4.0,
-    scores=None,
 ):
     """Average top-k recall of liked held-out items, per user.
 
@@ -248,8 +245,7 @@ def recall_at_k(
     test_values = np.asarray(test_values, dtype=float)
     test_mask = np.asarray(test_mask, dtype=bool)
     train_mask = np.asarray(train_mask, dtype=bool)
-    C = model.scores if scores is None else scores
-    predictions = C.T @ model.gaussian.mean.T  # (P items, D1 users)
+    predictions = model.scores.T @ model.gaussian.mean.T  # (P items, D1 users)
 
     recalls = []
     for j in range(predictions.shape[1]):

@@ -1,9 +1,11 @@
 """Model specification, fitted-model container, and on-disk format.
 
-Small models are stored as a single JSON document; once the total matrix
-payload crosses a threshold the matrices move to a sidecar binary file of
-raw little-endian float64 values in column-major order, referenced by
-offset from the JSON manifest. Both forms round-trip bit exactly.
+A model is stored as a JSON document (spec, dimensions, objective trace)
+plus a sidecar binary file, ``<model>.bin``, of raw little-endian float64
+matrices in column-major order, each referenced by byte offset from the
+JSON document. The two files round-trip bit exactly and move together.
+Models written by earlier versions with their matrices inline in the
+JSON document still load.
 """
 
 import contextlib
@@ -19,7 +21,6 @@ from .gaussian import GaussianState
 from .multinomial import MultinomialState
 
 MODEL_SCHEMA_VERSION = 1
-INLINE_ELEMENT_LIMIT = 100_000
 
 SCORE_UPDATE_MODES = ("unconstrained", "ridge", "nonnegative")
 
@@ -170,11 +171,10 @@ def save_model(model, path):
 
     The write is atomic per file: the sidecar blob and the JSON document
     go to temporary files first and replace the targets, blob first, only
-    once both are complete. A failed write leaves any older model intact;
-    a successful inline write removes an older model's sidecar blob.
+    once both are complete. A failed write leaves any older model intact.
     """
     arrays = _collect_arrays(model)
-    total = sum(a.size for a in arrays.values())
+    blob_path = os.fspath(path) + ".bin"
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "spec": asdict(model.spec),
@@ -182,30 +182,18 @@ def save_model(model, path):
         "iterations_run": model.iterations_run,
         "converged": model.converged,
         "objective_trace": list(map(float, model.objective_trace)),
+        "blob": os.path.basename(blob_path),
         "arrays": {},
     }
     staged = []
     try:
-        if total > INLINE_ELEMENT_LIMIT:
-            blob_path = os.fspath(path) + ".bin"
-            doc["blob"] = os.path.basename(blob_path)
-            offset = 0
-            with _staged(blob_path, "wb", staged) as fh:
-                for name in sorted(arrays):
-                    arr = np.asarray(arrays[name], dtype="<f8")
-                    fh.write(arr.tobytes(order="F"))
-                    doc["arrays"][name] = {
-                        "shape": list(arr.shape),
-                        "offset": offset,
-                    }
-                    offset += arr.size * 8
-        else:
+        offset = 0
+        with _staged(blob_path, "wb", staged) as fh:
             for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype=float)
-                doc["arrays"][name] = {
-                    "shape": list(arr.shape),
-                    "values": arr.ravel(order="F").tolist(),
-                }
+                arr = np.asarray(arrays[name], dtype="<f8")
+                fh.write(arr.tobytes(order="F"))
+                doc["arrays"][name] = {"shape": list(arr.shape), "offset": offset}
+                offset += arr.size * 8
         with _staged(os.fspath(path), "w", staged) as fh:
             json.dump(doc, fh, sort_keys=True)
     except BaseException:
@@ -214,16 +202,13 @@ def save_model(model, path):
         raise
     for tmp, target in staged:
         os.replace(tmp, target)
-    if "blob" not in doc:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.fspath(path) + ".bin")
     return path
 
 
 def _read_array(entry, blob):
-    """One array of the manifest: inline values, or read from the open
-    sidecar blob straight into its own buffer (no copy of the blob is
-    held)."""
+    """One array of the manifest, read from the open sidecar blob straight
+    into its own buffer (no copy of the blob is held), or from the inline
+    values of a model written by an earlier version."""
     shape = tuple(entry["shape"])
     if any(n < 0 for n in shape) or entry.get("offset", 0) < 0:
         raise SchemaError("array entry has a negative shape or offset")
@@ -241,8 +226,8 @@ def _read_array(entry, blob):
 
 
 def _read_arrays(doc, path):
-    """Every array of the manifest at path, from its sidecar blob if it
-    has one."""
+    """Every array of the manifest at path, from its sidecar blob, or
+    inline if it has none (a model written by an earlier version)."""
     entries = doc["arrays"]
     if "blob" not in doc:
         return {name: _read_array(entry, None) for name, entry in entries.items()}

@@ -83,6 +83,25 @@ class TestFit:
         values = [float(line.split(",")[1]) for line in trace[4:]]
         assert all(b >= a - 1e-8 for a, b in zip(values, values[1:]))
 
+    def test_model_and_blob_move_together(self, sim_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.mmfa"
+        code, _, _ = run(
+            capsys, "fit", str(sim_dir / "manifest.json"), "--k", "2",
+            "--max-iters", "5", "-o", str(model_path),
+        )
+        assert code in (0, 3)
+        assert (tmp_path / "model.mmfa.bin").exists()
+        args = (str(sim_dir / "manifest.json"), "--task", "predict")
+        code, before, _ = run(capsys, "eval", str(model_path), *args)
+        assert code == 0
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        for name in ("model.mmfa", "model.mmfa.bin"):
+            (tmp_path / name).rename(moved / name)
+        code, after, _ = run(capsys, "eval", str(moved / "model.mmfa"), *args)
+        assert code == 0
+        assert after == before
+
     def test_infinite_tol_one_iteration_exit_3(self, sim_dir, tmp_path, capsys):
         model_path = tmp_path / "one.mmfa"
         code, _, _ = run(

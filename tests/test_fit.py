@@ -540,17 +540,20 @@ class TestInstanceBlocks:
         assert fit_peak < stack and score_peak < stack, (fit_peak, score_peak, stack)
 
 
+    def _wide_data(self, monkeypatch):
+        # 40 blocks of 16 instances plus a remainder of 5, 40 features
+        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        return sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=40 * self.CHUNK + 5, n_gaussian=40,
+                n_categories=(3,), n_trials=5, missing_fraction=0.2, seed=33,
+            )
+        ).dataset
+
     def test_fit_memory_bounded_by_a_block(self, monkeypatch):
         # beyond the arrays it returns, a fit holds one block's working
         # set: its traced peak stays below a single (P, D1) float64 array
-        p, d1 = 40 * self.CHUNK + 5, 40
-        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
-        data = sample_dataset(
-            GeneratorConfig(
-                n_factors=2, n_instances=p, n_gaussian=d1, n_categories=(3,),
-                n_trials=5, missing_fraction=0.2, seed=33,
-            )
-        ).dataset
+        data = self._wide_data(monkeypatch)
         spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1)
         tracemalloc.start()
         try:
@@ -560,7 +563,25 @@ class TestInstanceBlocks:
         finally:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in model_arrays(model))
-        assert peak - outputs < p * d1 * 8, (peak, outputs, p * d1 * 8)
+        bound = data.gaussian.nbytes
+        assert peak - outputs < bound, (peak, outputs, bound)
+
+    @pytest.mark.parametrize("max_inner", [1, 50])
+    def test_score_memory_bounded_by_a_block(self, monkeypatch, max_inner):
+        # scoring, its log-likelihood included, also holds one block's
+        # working set beyond the scores and log-likelihoods it returns
+        data = self._wide_data(monkeypatch)
+        model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scores, loglik = mmfa.score_dataset(model, data, max_inner=max_inner)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        outputs = scores.nbytes + loglik.nbytes
+        bound = data.gaussian.nbytes
+        assert peak - outputs < bound, (peak, outputs, bound)
 
 
 class TestSelectK:
@@ -640,18 +661,17 @@ class TestModelIO:
             loaded.categoricals[0].expansion, model.categoricals[0].expansion
         )
 
-    @pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
-    def test_failed_overwrite_keeps_old_model(self, tmp_path, monkeypatch, sidecar):
+    def test_failed_overwrite_keeps_old_model(self, tmp_path, monkeypatch):
         import mmfa.model as model_module
 
-        if sidecar:
-            monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
         synth = small_dataset(seed=1, p=10)
         old = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
         new = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=3, seed=2))
         path = tmp_path / "model.mmfa"
         save_model(old, path)
-        assert (tmp_path / "model.mmfa.bin").exists() == sidecar
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "model.mmfa", "model.mmfa.bin"
+        ]
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
         def failing_dump(obj, fh, **kwargs):
@@ -668,21 +688,51 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.scores, old.scores)
         assert loaded.objective_trace == old.objective_trace
 
-    def test_inline_overwrite_removes_old_sidecar(self, tmp_path, monkeypatch):
-        import mmfa.model as model_module
-
-        synth = small_dataset(seed=1, p=10)
-        model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
-        path = tmp_path / "model.mmfa"
-        monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
-        save_model(model, path)
-        assert (tmp_path / "model.mmfa.bin").exists()
-        monkeypatch.undo()
-        save_model(model, path)
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.mmfa"]
+    def test_inline_model_of_earlier_versions_loads_bitwise(self, tmp_path):
+        # earlier versions wrote models under 100k elements as one JSON
+        # document with every matrix inline, column-major, and no blob
+        cfg = GeneratorConfig(
+            n_factors=2, n_instances=25, n_gaussian=3, n_categories=(3, 5),
+            n_trials=4, missing_fraction=0.2, seed=9,
+        )
+        model = fit(sample_dataset(cfg).dataset, ModelSpec(n_factors=2, max_iters=8))
+        arrays = {
+            "scores": model.scores,
+            "gaussian_mean": model.gaussian.mean,
+            "gaussian_cov": model.gaussian.cov,
+            "noise_variance": model.noise_variance,
+        }
+        for m, state in enumerate(model.categoricals):
+            arrays.update({
+                f"cat{m}_precision": state.precision,
+                f"cat{m}_precision_inv": state.precision_inv,
+                f"cat{m}_cross_cov": state.cross_cov,
+                f"cat{m}_loading_mean": state.loading_mean,
+                f"cat{m}_expansion": state.expansion,
+            })
+        doc = {
+            "schema_version": 1,
+            "spec": {
+                name: getattr(model.spec, name)
+                for name in ModelSpec.__dataclass_fields__
+            },
+            "n_category_list": [3, 5],
+            "iterations_run": model.iterations_run,
+            "converged": model.converged,
+            "objective_trace": model.objective_trace,
+            "arrays": {
+                name: {"shape": list(a.shape), "values": a.ravel(order="F").tolist()}
+                for name, a in sorted(arrays.items())
+            },
+        }
+        path = tmp_path / "old.mmfa"
+        path.write_text(json.dumps(doc, sort_keys=True))
         loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.scores, model.scores)
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got.flags.c_contiguous
         assert loaded.objective_trace == model.objective_trace
+        assert loaded.spec == model.spec
 
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
@@ -694,10 +744,7 @@ class TestModelIO:
         with pytest.raises(mmfa.SchemaError):
             load_model(path)
 
-    def test_truncated_blob_schema_error(self, tmp_path, monkeypatch):
-        import mmfa.model as model_module
-
-        monkeypatch.setattr(model_module, "INLINE_ELEMENT_LIMIT", 0)
+    def test_truncated_blob_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
         model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
         path = tmp_path / "model.mmfa"
