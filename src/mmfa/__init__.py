@@ -17,7 +17,7 @@ from .errors import (
     UndefinedMetricError,
     UndefinedScoreError,
 )
-from .expfam import CurvatureMatrix, bohning_bound, lse, softmax_pivot
+from .expfam import CurvatureMatrix, softmax_pivot
 from .fisher import (
     FisherResult,
     MseExperimentConfig,
@@ -26,7 +26,7 @@ from .fisher import (
     mse_experiment,
     multinomial_fisher_mc,
 )
-from .gaussian import GaussianState, gaussian_e_step, gaussian_m_step
+from .gaussian import GaussianState
 from .inference import (
     AnomalyVerdict,
     InstanceScore,
@@ -45,7 +45,6 @@ from .multinomial import (
     MultinomialData,
     MultinomialState,
     adjusted_counts,
-    multinomial_e_step,
     psi_update,
 )
 from .synth import GeneratorConfig, SyntheticData, inject_outliers, sample_dataset
@@ -74,20 +73,15 @@ __all__ = [
     "UndefinedScoreError",
     "adjusted_counts",
     "anomaly_detect",
-    "bohning_bound",
     "category_probabilities",
     "crlb",
     "fit",
-    "gaussian_e_step",
     "gaussian_fisher",
-    "gaussian_m_step",
     "impute",
     "inject_outliers",
     "instance_log_likelihoods",
     "load_model",
-    "lse",
     "mse_experiment",
-    "multinomial_e_step",
     "multinomial_fisher_mc",
     "predict_gaussian",
     "predictive_log_likelihood",

@@ -6,15 +6,21 @@ Gaussian block, C diag(N) C^T and C ztilde for each categorical block.
 One iteration runs, in order:
 
 - the global step (:func:`_global_step`): the exact Gaussian loading
-  posterior and the variational posterior of each categorical block,
+  posterior (:func:`gaussian._e_step_finish`) and the variational
+  posterior of each categorical block (:func:`multinomial._e_step_finish`),
   finished from the sums the previous pass left;
-- one pass (:func:`_walk`) over blocks of gaussian.KHATRI_RAO_CHUNK
-  instances. Each block takes its local step (:func:`_local_step`): the
-  noise-variance M-step and the bound's expansion points at the block's
-  current scores, then its Gaussian weights, adjusted counts and score
-  system, which one solve turns into new scores. The block then adds its
-  share of the objective, read off the system just solved, and at its
-  new scores its share of the sums the next global step reads.
+- one pass (:func:`_walk`) over blocks of INSTANCE_BLOCK instances
+  (:func:`_instance_blocks`). Each block takes its local step
+  (:func:`_local_step`): the noise-variance M-step and the bound's
+  expansion points at the block's current scores, then its Gaussian
+  weights, adjusted counts with the bound's offsets and score system,
+  which one solve turns into new scores. The block then adds its share
+  of the objective, read off the system just solved, and at its new
+  scores its share of the sums (the modules' ``_e_step_sums``) the next
+  global step reads.
+
+This module decides the blocking; the Gaussian and multinomial modules
+do per-block arithmetic only.
 
 Every update is an exact coordinate-ascent step on the same surrogate
 objective, so the tracked objective never decreases. Beyond its outputs
@@ -37,6 +43,15 @@ from .multinomial import MultinomialState
 
 NONNEG_KKT_TOL = 1e-8
 NONNEG_MAX_ITERS = 20_000
+# Instances per block of the fit's and scoring's passes: a block's working
+# set holds K^2 * INSTANCE_BLOCK floats (1.6 MB at K=10), whatever P is.
+INSTANCE_BLOCK = 2048
+
+
+def _instance_blocks(p):
+    """Consecutive slices of INSTANCE_BLOCK instances covering range(p)."""
+    for start in range(0, p, INSTANCE_BLOCK):
+        yield slice(start, start + INSTANCE_BLOCK)
 
 
 def _prior_multinomial_state(n_categories, k, p):
@@ -136,7 +151,7 @@ def _walk(data, model, log_coefficient, update):
     ]
     for block in data.categoricals:
         sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
-    for rows in gmod._instance_blocks(C.shape[1]):
+    for rows in _instance_blocks(C.shape[1]):
         scores = C[:, rows]
         if update:
             blk = _local_step(data, spec, gauss_state, cat_states, scores, rows)

@@ -2,7 +2,8 @@
 
 Natural parameters here always refer to the pivoted parameterization: a
 D-category multinomial is described by the D-1 log-odds against the last
-(pivot) category, whose own natural parameter is fixed at zero. All
+(pivot) category, whose own natural parameter is fixed at zero, and
+lse(eta) = log(1 + sum(exp(eta))) is the log-partition function. All
 functions accept a single vector of length D-1 or a batch with the
 category axis last.
 """
@@ -12,34 +13,19 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-def _check_finite(eta, name):
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 0 or eta.shape[-1] < 1:
-        raise ValueError(f"{name} must have at least one non-pivot entry")
-    if not np.isfinite(eta).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return eta
-
-
 def _shifted_exp(eta):
     """(m, exp(eta - m), exp(-m) + sum(exp(eta - m))) along the last axis,
     with m the maximum of the entries and the implicit zero pivot, all
-    with the category axis kept."""
-    eta = _check_finite(eta, "eta")
+    with the category axis kept. Shifting m out keeps entries far outside
+    the range where exp overflows finite."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0 or eta.shape[-1] < 1:
+        raise ValueError("eta must have at least one non-pivot entry")
+    if not np.isfinite(eta).all():
+        raise ValueError("eta contains non-finite entries")
     m = np.maximum(np.max(eta, axis=-1, keepdims=True), 0.0)
     num = np.exp(eta - m)
     return m, num, np.exp(-m) + np.sum(num, axis=-1, keepdims=True)
-
-
-def lse(eta):
-    """log(1 + sum(exp(eta))), the multinomial log-partition function.
-
-    Stable for entries far outside the range where exp overflows: the
-    maximum of the entries and the implicit zero pivot is shifted out
-    before exponentiating.
-    """
-    m, _, denom = _shifted_exp(eta)
-    return m[..., 0] + np.log(denom[..., 0])
 
 
 def softmax_pivot(eta):
@@ -55,8 +41,12 @@ def softmax_pivot(eta):
 class CurvatureMatrix:
     """Fixed curvature bound A = (I - 11^T / D) / 2 on the lse Hessian.
 
-    A dominates the Hessian of lse everywhere, which is what makes the
-    quadratic expansion in :func:`bohning_bound` a global upper bound.
+    A dominates the Hessian of lse everywhere, so the Bohning bound
+
+        lse(psi) + (eta - psi)^T grad lse(psi) + (eta - psi)^T A (eta - psi) / 2
+
+    is >= lse(eta), with equality at eta = psi. The fit forms it through
+    :func:`multinomial.adjusted_counts`.
     The matrix is (D-1) x (D-1) but is never materialized outside test
     oracles: products use the rank-structured form directly.
     """
@@ -95,22 +85,3 @@ class CurvatureMatrix:
     def dense(self):
         d = self.n_categories
         return 0.5 * (np.eye(d - 1) - np.ones((d - 1, d - 1)) / d)
-
-
-def bohning_bound(eta, psi):
-    """Quadratic upper bound on lse(eta), expanded around psi.
-
-    lse(psi) + (eta-psi)^T grad lse(psi) + (eta-psi)^T A (eta-psi) / 2,
-    with A the fixed curvature of :class:`CurvatureMatrix`. Equals
-    lse(eta) when eta == psi and is >= lse(eta) everywhere else.
-    """
-    eta = _check_finite(eta, "eta")
-    psi = _check_finite(psi, "psi")
-    if eta.shape[-1] != psi.shape[-1]:
-        raise DimensionMismatch(
-            f"eta has {eta.shape[-1]} entries but psi has {psi.shape[-1]}"
-        )
-    curv = CurvatureMatrix(eta.shape[-1] + 1)
-    grad = softmax_pivot(psi)[..., :-1]
-    diff = eta - psi
-    return lse(psi) + np.sum(diff * grad, axis=-1) + 0.5 * curv.quad(diff)

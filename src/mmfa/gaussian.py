@@ -5,6 +5,9 @@ prior; conditioned on the score matrix the posterior is Gaussian and is
 computed exactly. Per-entry noise variances get a closed-form update
 under an inverse-gamma prior. All sums respect an observation mask so
 sparsely rated data (recommender-style matrices) fit the same code path.
+Every function here works on the instances it is given; the fit and
+scoring pass one block of instances at a time
+(:func:`engine._instance_blocks`).
 """
 
 from dataclasses import dataclass
@@ -12,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionMismatch, NumericalError
+from .errors import NumericalError
 
 VARIANCE_FLOOR = 1e-9
-# Instances per block of the Khatri-Rao product C (.) C and of the score
-# system: a block holds K^2 * KHATRI_RAO_CHUNK floats (1.6 MB at K=10),
-# whatever P is.
-KHATRI_RAO_CHUNK = 2048
 
 
 @dataclass
@@ -61,32 +60,19 @@ def _weighted(sigma2, Y, mask):
     return w, w * Y
 
 
-def _instance_blocks(p):
-    """Consecutive slices of KHATRI_RAO_CHUNK instances covering range(p)."""
-    for start in range(0, p, KHATRI_RAO_CHUNK):
-        yield slice(start, start + KHATRI_RAO_CHUNK)
-
-
-def _khatri_rao_blocks(C):
-    """Yield (rows, block) over consecutive instance ranges of C (K, P).
-
-    block[i, k*K + l] = C[k, i] * C[l, i] for the instances i in rows, so
-    a (block x K^2) GEMM contracts both score factors of a K^2 P D1 sum.
-    """
-    k, p = C.shape
-    for rows in _instance_blocks(p):
-        part = C[:, rows].T
-        yield rows, (part[:, :, None] * part[:, None, :]).reshape(-1, k * k)
+def _khatri_rao(C):
+    """The rows c_i (x) c_i of the instances of C (K, b), shape (b, K^2):
+    row i holds C[k, i] * C[l, i] at k*K + l, so one GEMM contracts both
+    score factors of a K^2 b D1 sum."""
+    part = C.T
+    return (part[:, :, None] * part[:, None, :]).reshape(-1, C.shape[0] ** 2)
 
 
 def _quadratic_form(C, cov):
-    """c_i^T cov_j c_i for every instance i and feature j, shape (P, D1)."""
+    """c_i^T cov_j c_i for every instance i of C (K, b) and feature j,
+    shape (b, D1)."""
     d1, k, _ = cov.shape
-    cov_flat = cov.reshape(d1, k * k).T
-    quad = np.empty((C.shape[1], d1))
-    for rows, block in _khatri_rao_blocks(C):
-        quad[rows] = block @ cov_flat
-    return quad
+    return _khatri_rao(C) @ cov.reshape(d1, k * k).T
 
 
 def _cholesky(matrices):
@@ -99,53 +85,26 @@ def _cholesky(matrices):
     return chol if np.isfinite(chol).all() else None
 
 
-def gaussian_e_step(C, sigma2, Y, mask=None):
-    """Exact loading posteriors given scores and per-entry noise variances.
-
-    Parameters
-    ----------
-    C : (K, P) score matrix.
-    sigma2 : (P, D1) strictly positive noise variances.
-    Y : (P, D1) observations.
-    mask : optional (P, D1) boolean, True where observed.
-
-    Returns a :class:`GaussianState`. The precisions C diag(w_j) C^T + I
-    of all D1 features come from one GEMM per block of the Khatri-Rao
-    product C (.) C. They are symmetric positive definite by construction
-    and are factored by one batched Cholesky call, L_j L_j^T, giving
-    cov_j = L_j^-T L_j^-1. A precision that is not finite or not positive
-    definite raises NumericalError naming the first such feature. The
-    work is sums over the instances (:func:`_e_step_sums`), which a fit
-    adds up block by block, then a shared finish (:func:`_e_step_finish`).
-    """
-    C = np.asarray(C, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    k, p = C.shape
-    if Y.shape[0] != p or Y.shape != sigma2.shape:
-        raise DimensionMismatch(
-            f"scores for {p} instances, data {Y.shape}, variances {sigma2.shape}"
-        )
-    if np.any(sigma2 <= 0):
-        raise ValueError("noise variances must be strictly positive")
-    weights = _weighted(sigma2, _observed(Y, mask), mask)
-    return _e_step_finish(*_e_step_sums(C, *weights))
-
-
 def _e_step_sums(C, w, wy):
     """The sums the loading posteriors read, over the instances of C
-    (K, P) with weights (w, w * Y) from :func:`_weighted`: the flattened
-    precision sums sum_i w_ij c_i c_i^T, (K^2, D1), and C (w * Y), (K, D1).
-    Both are sums over instances, so a fit adds them up block by block."""
-    k = C.shape[0]
-    prec_flat = np.zeros((k * k, w.shape[1]))
-    for rows, block in _khatri_rao_blocks(C):
-        prec_flat += block.T @ w[rows]
-    return prec_flat, C @ wy
+    (K, b) with weights (w, w * Y) from :func:`_weighted`: the flattened
+    precision sums sum_i w_ij c_i c_i^T, (K^2, D1), from one GEMM against
+    :func:`_khatri_rao`, and C (w * Y), (K, D1). A fit adds them up over
+    its blocks of instances and finishes them with :func:`_e_step_finish`."""
+    return _khatri_rao(C).T @ w, C @ wy
 
 
 def _e_step_finish(prec_flat, rhs):
-    """:func:`gaussian_e_step` from the sums of :func:`_e_step_sums`."""
+    """Exact loading posteriors from the sums of :func:`_e_step_sums`.
+
+    Feature j's posterior has precision C diag(w_j) C^T + I, with w_j the
+    per-entry precisions 1 / sigma2 (0 where hidden), covariance its
+    inverse and mean cov_j C (w_j * y_j). The precisions are symmetric
+    positive definite by construction and are factored by one batched
+    Cholesky call, L_j L_j^T, giving cov_j = L_j^-T L_j^-1. A precision
+    that is not finite or not positive definite raises NumericalError
+    naming the first such feature. Returns a :class:`GaussianState`.
+    """
     k, d1 = rhs.shape
     prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
     chol = _cholesky(prec)
@@ -158,8 +117,10 @@ def _e_step_finish(prec_flat, rhs):
     return GaussianState(mean=mean, cov=cov)
 
 
-def gaussian_m_step(state, C, Y, mask=None, alpha=1.0, beta=0.1):
-    """MAP update of the per-entry noise variances.
+def gaussian_m_step(state, C, Y, mask, alpha, beta):
+    """MAP update of the per-entry noise variances of the instances of
+    C (K, b), which its caller passes one block at a time: the quadratic
+    forms take K^2 floats per instance.
 
     For each observed entry the update is the posterior mode under the
     inverse-gamma prior:

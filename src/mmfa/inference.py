@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as gmod
 from . import multinomial as mmod
-from .engine import _local_step, solve_scores_batch
+from .engine import _instance_blocks, _local_step, solve_scores_batch
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
 from .expfam import softmax_pivot
 
@@ -86,7 +86,7 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
     C = np.zeros((p, k))
     for step in range(max_inner):
         moved = 0.0
-        for rows in gmod._instance_blocks(p):
+        for rows in _instance_blocks(p):
             # the first step starts from prior-mode noise variances; its
             # expansion points, psi at C = 0, are zero
             b = C[rows].shape[0]
@@ -105,7 +105,7 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
             break
 
     loglik = np.zeros(p)
-    for rows in gmod._instance_blocks(p):
+    for rows in _instance_blocks(p):
         c = C[rows].T
         if data.gaussian is not None:
             mask = None if data.mask is None else data.mask[rows]

@@ -146,48 +146,29 @@ def adjusted_counts(counts, trials, expansion, n_categories, return_offset=False
     return ztilde, offset
 
 
-def multinomial_e_step(C, trials, ztilde, n_categories):
-    """Closed-form approximate posterior of the category loadings.
-
-    Given scores C (K x P), trial counts and adjusted counts, computes
-
-        precision  = C diag(trials) C^T / 2 + I
-        cross_cov  = (I - inv(precision)) / D2
-                     [inv(precision) + inv(precision/(D2-1) + I)(I - inv(precision))]
-        loading_mean = inv(precision) C ztilde
-                     + cross_cov C (row sums of ztilde) 1^T
-
-    Solves go through Cholesky factorizations of the two SPD K x K
-    matrices; the (D2-1)K-dimensional posterior is never materialized.
-    The work is sums over the instances (:func:`_e_step_sums`), which a
-    fit adds up block by block, then a shared finish
-    (:func:`_e_step_finish`).
-    """
-    C = np.asarray(C, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    ztilde = np.asarray(ztilde, dtype=float)
-    k, p = C.shape
-    if ztilde.shape != (p, n_categories - 1) or trials.shape != (p,):
-        raise DimensionMismatch(
-            f"scores for {p} instances, adjusted counts {ztilde.shape}"
-        )
-    if not np.isfinite(C).all():
-        raise ValueError("scores contain non-finite entries")
-    if np.any(trials < 0):
-        raise ValueError("trials must be nonnegative")
-
-    return _e_step_finish(*_e_step_sums(C, trials, ztilde), n_categories)
-
-
 def _e_step_sums(C, trials, ztilde):
-    """The sums :func:`multinomial_e_step` reads, over the instances of
-    C (K, P): C diag(trials) C^T and C ztilde. A fit adds them up block
-    by block."""
+    """The sums the category loading posterior reads, over the instances
+    of C (K, b): C diag(trials) C^T and C ztilde, with ztilde the
+    adjusted counts of :func:`adjusted_counts`. A fit adds them up over
+    its blocks of instances and finishes them with :func:`_e_step_finish`."""
     return (C * trials) @ C.T, C @ ztilde
 
 
 def _e_step_finish(gram, cz, n_categories):
-    """:func:`multinomial_e_step` from the sums of :func:`_e_step_sums`."""
+    """Closed-form approximate posterior of the category loadings from
+    the sums of :func:`_e_step_sums`, gram = C diag(trials) C^T and
+    cz = C ztilde:
+
+        precision  = gram / 2 + I
+        cross_cov  = (I - inv(precision)) / D2
+                     [inv(precision) + inv(precision/(D2-1) + I)(I - inv(precision))]
+        loading_mean = inv(precision) cz + cross_cov (row sums of cz) 1^T
+
+    Solves go through Cholesky factorizations of the two SPD K x K
+    matrices (:func:`spd_solve`, which raises NumericalError when one
+    fails); the (D2-1)K-dimensional posterior is never materialized.
+    Returns a :class:`MultinomialState` without expansion points.
+    """
     k = gram.shape[0]
     eye = np.eye(k)
     precision = 0.5 * gram + eye
@@ -318,11 +299,3 @@ def multinomial_posterior_terms(state):
         raise NumericalError("structured posterior covariance lost definiteness")
     total += 0.5 * (-(d - 1) * logdet_prec + logdet_ones)
     return float(total)
-
-
-def posterior_covariance_dense(state):
-    """Materialized (D2-1)K x (D2-1)K covariance; test and oracle use only."""
-    d = state.n_categories - 1
-    return np.kron(np.eye(d), state.precision_inv) + np.kron(
-        np.ones((d, d)), state.cross_cov
-    )

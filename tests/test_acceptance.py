@@ -14,19 +14,16 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
 from mmfa import (
     CurvatureMatrix,
     GeneratorConfig,
     ModelSpec,
-    bohning_bound,
     fit,
-    gaussian_e_step,
     inject_outliers,
     instance_log_likelihoods,
-    lse,
-    multinomial_e_step,
     multinomial_fisher_mc,
     predict_gaussian,
     recall_at_k,
@@ -34,10 +31,12 @@ from mmfa import (
     select_k,
     softmax_pivot,
 )
+from mmfa import gaussian as gmod
+from mmfa import multinomial as mmod
 from mmfa.cli import _rank_auc
 from mmfa.fisher import MseExperimentConfig, gaussian_fisher, mse_experiment
 from mmfa.inference import predictive_log_likelihood
-from mmfa.multinomial import adjusted_counts, posterior_covariance_dense
+from mmfa.multinomial import adjusted_counts
 
 
 def report(criterion, ok, detail):
@@ -99,7 +98,7 @@ def test_a2_structured_posterior_equals_dense():
         ).astype(float)
         psi = 0.5 * rng.standard_normal((p, d2 - 1))
         ztilde = adjusted_counts(z_full[:, :-1], trials, psi, d2)
-        state = multinomial_e_step(C, trials, ztilde, d2)
+        state = mmod._e_step_finish(*mmod._e_step_sums(C, trials, ztilde), d2)
 
         A = CurvatureMatrix(d2).dense()
         dim = (d2 - 1) * k
@@ -110,9 +109,12 @@ def test_a2_structured_posterior_equals_dense():
             prec += trials[i] * Ci @ A @ Ci.T
             rhs += Ci @ ztilde[i]
         cov_dense = np.linalg.inv(prec)
+        structured = np.kron(np.eye(d2 - 1), state.precision_inv) + np.kron(
+            np.ones((d2 - 1, d2 - 1)), state.cross_cov
+        )
         worst = max(
             worst,
-            np.abs(posterior_covariance_dense(state) - cov_dense).max(),
+            np.abs(structured - cov_dense).max(),
             np.abs(state.loading_mean.T.reshape(-1) - cov_dense @ rhs).max(),
         )
     elapsed = time.perf_counter() - start
@@ -122,7 +124,23 @@ def test_a2_structured_posterior_equals_dense():
 
 def test_a3_bound_property_suite():
     """10^4 random triples: bound dominates lse, is tight at the expansion
-    point, and its gradient matches central finite differences."""
+    point, and its gradient matches central finite differences. The bound
+    is the one the fit forms: with no counts and one trial,
+    adjusted_counts gives (ztilde, offset), and
+    bound(eta; psi) = offset - eta^T ztilde + eta^T A eta / 2."""
+
+    def bohning_bound(eta, psi):
+        d2 = psi.shape[-1] + 1
+        ztilde, offset = adjusted_counts(
+            np.zeros_like(psi), np.ones(len(psi)), psi, d2, return_offset=True
+        )
+        quad = CurvatureMatrix(d2).quad(eta)
+        return offset - np.sum(eta * ztilde, axis=-1) + 0.5 * quad
+
+    def lse(eta):
+        pivot = np.zeros((len(eta), 1))
+        return logsumexp(np.concatenate([eta, pivot], axis=1), axis=1)
+
     rng = np.random.default_rng(303)
     n = 10_000
     min_gap = np.inf
@@ -211,7 +229,8 @@ def test_a5_gaussian_e_step_exact():
         Y = rng.standard_normal((p, d1)) * 2.0
         mask = rng.random((p, d1)) < 0.8
         mask[rng.integers(p)] = True
-        state = gaussian_e_step(C, sigma2, Y, mask)
+        weights = gmod._weighted(sigma2, gmod._observed(Y, mask), mask)
+        state = gmod._e_step_finish(*gmod._e_step_sums(C, *weights))
         for j in range(d1):
             prec = np.eye(k)
             rhs = np.zeros(k)

@@ -23,7 +23,7 @@ from mmfa import (
     select_k,
     surrogate_objective,
 )
-from mmfa import gaussian as gmod
+from mmfa import engine
 from mmfa import multinomial as mmod
 from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch
 
@@ -227,10 +227,10 @@ class TestFitContracts:
         assert a.objective_trace == b.objective_trace
 
     def test_deterministic_across_khatri_rao_blocks(self):
-        # the Gaussian kernels sum BLAS GEMMs over blocks of instances;
-        # two fits in one process must agree bit for bit
+        # the fit sums the Gaussian kernels' BLAS GEMMs over blocks of
+        # instances; two fits in one process must agree bit for bit
         cfg = GeneratorConfig(
-            n_factors=3, n_instances=2 * gmod.KHATRI_RAO_CHUNK + 300,
+            n_factors=3, n_instances=2 * engine.INSTANCE_BLOCK + 300,
             n_gaussian=12, n_categories=(5,), n_trials=4,
             missing_fraction=0.2, seed=21,
         )
@@ -468,8 +468,8 @@ class TestObjectiveFromScoreSystem:
 
 
 class TestInstanceBlocks:
-    """The score step builds, solves and reads the score system one block
-    of gaussian.KHATRI_RAO_CHUNK instances at a time."""
+    """Fitting and scoring build, solve and read the score system one
+    block of engine.INSTANCE_BLOCK instances at a time."""
 
     CHUNK = 16
 
@@ -484,15 +484,25 @@ class TestInstanceBlocks:
             )
         ).dataset
 
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
-    def test_blocking_changes_nothing(self, monkeypatch, data, mode):
+    @pytest.mark.parametrize(
+        "mode, block",
+        [
+            pytest.param(mode, block, id=mode if block > 1 else f"{mode}-block1")
+            for mode, block in itertools.product(
+                ("unconstrained", "ridge", "nonnegative"), (CHUNK, 1)
+            )
+        ],
+    )
+    def test_blocking_changes_nothing(self, monkeypatch, data, mode, block):
+        # a block of one instance takes BLAS's matrix-vector path, as every
+        # single-instance call (score_instance, impute, ...) does
         spec = ModelSpec(
             n_factors=2, score_update=mode, ridge_weight=0.3, tol=1e-300,
             max_iters=12, seed=4,
         )
         whole = fit(data, spec)
         whole_scores, whole_loglik = mmfa.score_dataset(whole, data)
-        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", block)
         blocked = fit(data, spec)
         again = fit(data, spec)
         blocked_scores, blocked_loglik = mmfa.score_dataset(whole, data)
@@ -512,7 +522,7 @@ class TestInstanceBlocks:
         # a one-iteration fit and a one-step scoring call each allocate
         # less than a single (P, K, K) float64 array at their peak
         k, p = 10, 24 * self.CHUNK + 7
-        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", self.CHUNK)
         data = sample_dataset(
             GeneratorConfig(
                 n_factors=2, n_instances=p, n_gaussian=3, n_categories=(3,),
@@ -542,7 +552,7 @@ class TestInstanceBlocks:
 
     def _wide_data(self, monkeypatch):
         # 40 blocks of 16 instances plus a remainder of 5, 40 features
-        monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", self.CHUNK)
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", self.CHUNK)
         return sample_dataset(
             GeneratorConfig(
                 n_factors=2, n_instances=40 * self.CHUNK + 5, n_gaussian=40,

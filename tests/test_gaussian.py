@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import multivariate_normal, norm
 
-from mmfa import HeteroDataset, NumericalError, gaussian_e_step
+from mmfa import HeteroDataset, NumericalError, engine
 from mmfa import gaussian as gmod
 from mmfa.engine import score_system
 from mmfa.gaussian import (
@@ -13,6 +13,12 @@ from mmfa.gaussian import (
     gaussian_m_step as m_step,
     prior_mode_variance,
 )
+
+
+def e_step(C, sigma2, Y, mask=None):
+    """Loading posteriors as a fit finishes them from one block's sums."""
+    weights = gmod._weighted(sigma2, gmod._observed(Y, mask), mask)
+    return gmod._e_step_finish(*gmod._e_step_sums(C, *weights))
 
 
 def gaussian_score_terms(state, sigma2, Y, mask=None):
@@ -36,7 +42,7 @@ def dense_posterior(C, sigma2_col, y_col, observed):
 
 class TestEStep:
     def test_scalar_case(self):
-        state = gaussian_e_step(
+        state = e_step(
             C=np.array([[1.0]]), sigma2=np.array([[1.0]]), Y=np.array([[2.0]])
         )
         assert state.cov[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -44,7 +50,7 @@ class TestEStep:
 
     def test_zero_scores_recover_prior(self):
         k, p, d1 = 3, 6, 4
-        state = gaussian_e_step(
+        state = e_step(
             C=np.zeros((k, p)),
             sigma2=np.full((p, d1), 0.7),
             Y=np.ones((p, d1)),
@@ -62,7 +68,7 @@ class TestEStep:
             Y = rng.standard_normal((p, d1))
             mask = rng.random((p, d1)) < 0.8
             mask[0] = True  # keep every feature covered
-            state = gaussian_e_step(C, sigma2, Y, mask)
+            state = e_step(C, sigma2, Y, mask)
             for j in range(d1):
                 mean, cov = dense_posterior(C, sigma2[:, j], Y[:, j], mask[:, j])
                 np.testing.assert_allclose(state.mean[j], mean, atol=1e-10)
@@ -76,14 +82,14 @@ class TestEStep:
         sigma2 = np.full((30, 1), 1.0)
         traces = []
         for p in range(1, 31):
-            state = gaussian_e_step(C[:, :p], sigma2[:p], Y[:p])
+            state = e_step(C[:, :p], sigma2[:p], Y[:p])
             traces.append(np.trace(state.cov[0]))
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
     def test_eigenvalues_at_most_one(self):
         rng = np.random.default_rng(8)
         C = rng.standard_normal((3, 12))
-        state = gaussian_e_step(
+        state = e_step(
             C, rng.uniform(0.5, 2.0, (12, 2)), rng.standard_normal((12, 2))
         )
         for j in range(2):
@@ -91,15 +97,11 @@ class TestEStep:
             assert eigs.min() > 0
             assert eigs.max() <= 1.0 + 1e-12
 
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            gaussian_e_step(np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
-
     def test_nan_scores_raise_numerical_error(self):
         C = np.ones((2, 3))
         C[1, 2] = np.nan
         with pytest.raises(NumericalError, match="feature 0"):
-            gaussian_e_step(C, np.ones((3, 2)), np.ones((3, 2)))
+            e_step(C, np.ones((3, 2)), np.ones((3, 2)))
 
     def test_non_pd_precision_names_feature(self):
         # weights 2^71 on two identical score vectors: every precision
@@ -107,7 +109,7 @@ class TestEStep:
         sigma2 = np.ones((2, 3))
         sigma2[:, 1] = 2.0**-71
         with pytest.raises(NumericalError, match="feature 1"):
-            gaussian_e_step(np.ones((2, 2)), sigma2, np.ones((2, 3)))
+            e_step(np.ones((2, 2)), sigma2, np.ones((2, 3)))
 
     def test_exactness_constant_log_ratio(self):
         # p(y_j, u_j) evaluated at sampled u is proportional to the returned
@@ -117,7 +119,7 @@ class TestEStep:
         C = rng.standard_normal((k, p))
         sigma2 = rng.uniform(0.5, 2.0, size=(p, 1))
         Y = rng.standard_normal((p, 1))
-        state = gaussian_e_step(C, sigma2, Y)
+        state = e_step(C, sigma2, Y)
         post = multivariate_normal(mean=state.mean[0], cov=state.cov[0])
         ratios = []
         for _ in range(100):
@@ -133,7 +135,8 @@ class TestMStep:
     def test_hand_value(self):
         state = GaussianState(mean=np.array([[1.0]]), cov=np.array([[[0.5]]]))
         sigma2 = m_step(
-            state, C=np.array([[1.0]]), Y=np.array([[2.0]]), alpha=1.0, beta=0.1
+            state, C=np.array([[1.0]]), Y=np.array([[2.0]]), mask=None,
+            alpha=1.0, beta=0.1,
         )
         assert sigma2[0, 0] == pytest.approx(4.3, abs=1e-12)
 
@@ -142,7 +145,7 @@ class TestMStep:
         state = GaussianState(mean=np.array([[2.0]]), cov=np.array([[[1e-12]]]))
         C = np.array([[3.0]])
         Y = np.array([[6.0]])
-        sigma2 = m_step(state, C, Y, alpha=1.0, beta=1e6)
+        sigma2 = m_step(state, C, Y, None, alpha=1.0, beta=1e6)
         expected = (9.0 * 1e-12 + 2e-6) / 5.0
         assert sigma2[0, 0] == pytest.approx(expected, rel=1e-6)
 
@@ -167,7 +170,9 @@ class TestMStep:
             y = rng.standard_normal() * 2.0
             alpha, beta = rng.uniform(0.5, 3.0), rng.uniform(0.05, 2.0)
             state = GaussianState(mean=a[None], cov=B[None])
-            got = m_step(state, c[:, None], np.array([[y]]), alpha=alpha, beta=beta)[0, 0]
+            got = m_step(
+                state, c[:, None], np.array([[y]]), None, alpha=alpha, beta=beta
+            )[0, 0]
 
             expected_sq = (y - a @ c) ** 2 + c @ B @ c
 
@@ -186,7 +191,7 @@ class TestMStep:
     def test_floor_applied(self):
         state = GaussianState(mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         sigma2 = m_step(
-            state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=1.0, beta=1e12
+            state, np.zeros((1, 1)), np.zeros((1, 1)), None, alpha=1.0, beta=1e12
         )
         assert sigma2[0, 0] == pytest.approx(1e-9)
 
@@ -242,7 +247,7 @@ class TestScoreContribution:
         C = rng.standard_normal((k, p))
         sigma2 = rng.uniform(0.2, 2.0, (p, d1))
         Y = rng.standard_normal((p, d1))
-        state = gaussian_e_step(C, sigma2, Y)
+        state = e_step(C, sigma2, Y)
         H, _ = gaussian_score_terms(state, sigma2, Y)
         for i in range(p):
             np.linalg.cholesky(H[i] + 0.0 * np.eye(k))  # jitter 0
@@ -274,7 +279,8 @@ def assert_rel_close(got, want, rel=1e-12):
 
 
 class TestKernelsMatchReference:
-    """The Khatri-Rao GEMM kernels against the einsum/cho_solve forms."""
+    """The Khatri-Rao GEMM kernels, taken over blocks of instances as a fit
+    takes them, against the einsum/cho_solve forms."""
 
     @pytest.mark.parametrize(
         "p, chunk, layout, masked_rows",
@@ -288,7 +294,7 @@ class TestKernelsMatchReference:
     )
     def test_kernels(self, monkeypatch, p, chunk, layout, masked_rows):
         if chunk is not None:
-            monkeypatch.setattr(gmod, "KHATRI_RAO_CHUNK", chunk)
+            monkeypatch.setattr(engine, "INSTANCE_BLOCK", chunk)
         rng = np.random.default_rng(p + (chunk or 0))
         k, d1 = 3, 4
         C = rng.standard_normal((k, p))
@@ -302,12 +308,16 @@ class TestKernelsMatchReference:
             mask[1::4] = False  # every fourth instance fully masked
         mask[0] = True
 
-        state = gaussian_e_step(C, sigma2, Y, mask)
+        blocks = list(engine._instance_blocks(p))
+        w, wy = gmod._weighted(sigma2, gmod._observed(Y, mask), mask)
+        parts = [gmod._e_step_sums(C[:, rows], w[rows], wy[rows]) for rows in blocks]
+        state = gmod._e_step_finish(*(sum(part) for part in zip(*parts)))
         mean, cov = reference_e_step(C, sigma2, Y, mask)
         assert_rel_close(state.mean, mean)
         assert_rel_close(state.cov, cov)
 
-        assert_rel_close(gmod._quadratic_form(C, cov), reference_quadratic_form(C, cov))
+        quad = np.concatenate([gmod._quadratic_form(C[:, rows], cov) for rows in blocks])
+        assert_rel_close(quad, reference_quadratic_form(C, cov))
 
         ref_state = GaussianState(mean=mean, cov=cov)
         H, rho = gaussian_score_terms(ref_state, sigma2, Y, mask)

@@ -11,25 +11,37 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from mmfa import (
     CurvatureMatrix,
     MultinomialData,
     NumericalError,
     adjusted_counts,
-    lse,
-    multinomial_e_step,
     psi_update,
     softmax_pivot,
 )
 from mmfa.multinomial import (
+    _e_step_finish,
+    _e_step_sums,
     expected_bound_loglik,
     multinomial_score_terms as block_score_terms,
-    posterior_covariance_dense,
     score_base,
     spd_solve,
 )
+
+
+def e_step(C, trials, ztilde, d2):
+    """The category loading posterior as a fit finishes it from one
+    block's sums."""
+    return _e_step_finish(*_e_step_sums(C, trials, ztilde), d2)
+
+
+def lse(eta):
+    """log(1 + sum(exp(eta))) by scipy, over [eta, 0]."""
+    eta = np.asarray(eta, dtype=float)
+    pivot = np.zeros(eta.shape[:-1] + (1,))
+    return logsumexp(np.concatenate([eta, pivot], axis=-1), axis=-1)
 
 
 def multinomial_score_terms(state, ztilde, trials):
@@ -121,7 +133,7 @@ class TestEStep:
         k, p, d2 = 3, 5, 4
         C = rng.standard_normal((k, p))
         ztilde = rng.standard_normal((p, d2 - 1))
-        state = multinomial_e_step(C, np.zeros(p), ztilde, d2)
+        state = e_step(C, np.zeros(p), ztilde, d2)
         np.testing.assert_allclose(state.precision, np.eye(k), atol=1e-14)
         np.testing.assert_allclose(state.cross_cov, 0.0, atol=1e-14)
         np.testing.assert_allclose(state.loading_mean, C @ ztilde, atol=1e-13)
@@ -130,7 +142,7 @@ class TestEStep:
         k, d2 = 3, 3
         C = np.zeros((k, 1))
         C[0, 0] = 1.0
-        state = multinomial_e_step(C, np.ones(1), np.zeros((1, d2 - 1)), d2)
+        state = e_step(C, np.ones(1), np.zeros((1, d2 - 1)), d2)
         np.testing.assert_allclose(
             state.precision, np.diag([1.5, 1.0, 1.0]), atol=1e-14
         )
@@ -143,11 +155,13 @@ class TestEStep:
             d2 = int(rng.integers(2, 6))
             C, trials, counts, psi = random_instance(rng, k, p, d2)
             ztilde = adjusted_counts(counts, trials, psi, d2)
-            state = multinomial_e_step(C, trials, ztilde, d2)
+            state = e_step(C, trials, ztilde, d2)
             cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
-            np.testing.assert_allclose(
-                posterior_covariance_dense(state), cov_dense, atol=1e-9
+            ones = np.ones((d2 - 1, d2 - 1))
+            structured = np.kron(np.eye(d2 - 1), state.precision_inv) + np.kron(
+                ones, state.cross_cov
             )
+            np.testing.assert_allclose(structured, cov_dense, atol=1e-9)
             np.testing.assert_allclose(
                 state.loading_mean.T.reshape(-1), mean_dense, atol=1e-9
             )
@@ -155,7 +169,7 @@ class TestEStep:
     def test_precision_dominates_identity(self):
         rng = np.random.default_rng(14)
         C, trials, counts, psi = random_instance(rng, 3, 20, 5)
-        state = multinomial_e_step(
+        state = e_step(
             C, trials, adjusted_counts(counts, trials, psi, 5), 5
         )
         assert np.linalg.eigvalsh(state.precision).min() >= 1.0 - 1e-10
@@ -168,7 +182,7 @@ class TestEStep:
         trials += 1.0
         ztilde = adjusted_counts(counts, trials, psi, 4)
         with pytest.raises(NumericalError, match="block precision"):
-            multinomial_e_step(1e160 * C, trials, ztilde, 4)
+            e_step(1e160 * C, trials, ztilde, 4)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -202,7 +216,7 @@ class TestPsiUpdate:
         C, trials, counts, psi0 = random_instance(rng, k, p, d2, max_trials=5)
         trials += 1.0  # make every instance carry data
         ztilde = adjusted_counts(counts, trials, psi0, d2)
-        state = multinomial_e_step(C, trials, ztilde, d2)
+        state = e_step(C, trials, ztilde, d2)
         state.expansion = psi_update(state.loading_mean, C)
         curv = CurvatureMatrix(d2)
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
@@ -241,7 +255,7 @@ class TestScoreContribution:
         C, _, counts, psi = random_instance(rng, k, p, d2)
         trials = np.zeros(p)
         ztilde = adjusted_counts(counts, trials, psi, d2)
-        state = multinomial_e_step(C, trials, ztilde, d2)
+        state = e_step(C, trials, ztilde, d2)
         H, rho = multinomial_score_terms(state, ztilde, trials)
         H, rho = H[1], rho[1]
         np.testing.assert_array_equal(H, 0.0)
@@ -253,7 +267,7 @@ class TestScoreContribution:
         C, trials, counts, psi = random_instance(rng, 2, 5, 2)
         trials += 1.0
         ztilde = adjusted_counts(counts, trials, psi, 2)
-        state = multinomial_e_step(C, trials, ztilde, 2)
+        state = e_step(C, trials, ztilde, 2)
         i = 2
         H = multinomial_score_terms(state, ztilde, trials)[0][i]
         phi = state.loading_mean
@@ -273,7 +287,7 @@ class TestScoreContribution:
         C, trials, counts, psi = random_instance(rng, k, p, d2)
         trials += 1.0
         ztilde = adjusted_counts(counts, trials, psi, d2)
-        state = multinomial_e_step(C, trials, ztilde, d2)
+        state = e_step(C, trials, ztilde, d2)
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
         A = CurvatureMatrix(d2).dense()
         i = 3
@@ -298,7 +312,7 @@ class TestScoreContribution:
         rng = np.random.default_rng(15)
         C, trials, counts, psi = random_instance(rng, 3, 6, 5)
         ztilde = adjusted_counts(counts, trials, psi, 5)
-        state = multinomial_e_step(C, trials, ztilde, 5)
+        state = e_step(C, trials, ztilde, 5)
         H, _ = multinomial_score_terms(state, ztilde, trials)
         np.testing.assert_allclose(H, np.transpose(H, (0, 2, 1)), atol=1e-12)
 
@@ -336,7 +350,7 @@ class TestBoundConsistency:
         k, p, d2 = 3, 5, 4
         C, trials, counts, psi = random_instance(rng, k, p, d2)
         ztilde = adjusted_counts(counts, trials, psi, d2)
-        state = multinomial_e_step(C, trials, ztilde, d2)
+        state = e_step(C, trials, ztilde, d2)
         state.expansion = psi
         got = expected_bound_loglik(state, counts, trials, psi, C)
         curv = CurvatureMatrix(d2)
@@ -364,9 +378,10 @@ class TestBoundConsistency:
 class TestScaling:
     @staticmethod
     def _time_ratio(base, double, reps=5):
-        # median E-step time at the doubled size over that at the base size;
-        # the two sizes' repetitions alternate, so a change in host load
-        # between them moves both medians alike
+        # median E-step time (the sums and the finish a fit runs) at the
+        # doubled size over that at the base size; the two sizes'
+        # repetitions alternate, so a change in host load between them
+        # moves both medians alike
         args = []
         for p, d2 in (base, double):
             rng = np.random.default_rng(0)
@@ -377,7 +392,7 @@ class TestScaling:
         for _ in range(reps):
             for arg, record in zip(args, times):
                 start = time.perf_counter()
-                multinomial_e_step(*arg)
+                e_step(*arg)
                 record.append(time.perf_counter() - start)
         return np.median(times[1]) / np.median(times[0])
 
