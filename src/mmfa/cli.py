@@ -228,20 +228,20 @@ def _cmd_crlb(args):
     doc = _load_json(args.config)
     seed = doc.get("seed", 0)
     n_replicates = doc.get("n_replicates", 2000)
-    if n_replicates < 100:
-        print(
-            f"warning: n_replicates={n_replicates} gives a wide-error "
-            "Monte Carlo estimate",
-            file=sys.stderr,
-        )
     c = np.asarray(doc["c"], dtype=float)
-    result = crlb(
+    result = crlb(  # rejects an n_replicates that is not an integer >= 2
         c,
         gaussian=doc.get("gaussian"),
         multinomial=doc.get("multinomial"),
         n_replicates=n_replicates,
         seed=seed,
     )
+    if n_replicates < 100:
+        print(
+            f"warning: n_replicates={n_replicates} gives a wide-error "
+            "Monte Carlo estimate",
+            file=sys.stderr,
+        )
     meta = {"seed": seed, "n_replicates": n_replicates}
     rows = [(result.crlb, result.crlb_gaussian, result.crlb_multinomial)]
     _emit_report(

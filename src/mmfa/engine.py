@@ -77,23 +77,24 @@ class _Block:
     weights: tuple = None  # (w, w * Y) at sigma2
     psis: list = None  # expansion points, (b, D - 1) per categorical block
     ztildes: list = None  # adjusted counts at psis
-    offsets: list = None  # bound offsets at psis
+    offsets: list = None  # bound offsets at psis, for the objective only
     H: np.ndarray = None  # (b, K, K) score system
     rho: np.ndarray = None  # (b, K)
 
 
 def _local_step(data, spec, gauss_state, cat_states, scores, rows,
-                sigma2=None, psis=None):
+                sigma2=None, psis=None, offsets=False):
     """The local step of the instances in rows, up to its solve.
 
     scores (K, b) are the block's current scores. Its noise variances are
     sigma2 or, if None, their M-step (:func:`gaussian.gaussian_m_step`)
     at scores; its expansion points are psis or, if None,
     psi = loading_mean^T c (:func:`multinomial.psi_update`) at scores.
-    From them come the Gaussian weights, the adjusted counts with their
-    bound offsets and the score system (:func:`score_system`). Fitting and
-    scoring both take this step with the loading posteriors held fixed,
-    and each solves the system itself. Returns a :class:`_Block`.
+    From them come the Gaussian weights, the adjusted counts (with their
+    bound offsets if offsets, which only the objective reads) and the
+    score system (:func:`score_system`). Fitting and scoring both take
+    this step with the loading posteriors held fixed, and each solves the
+    system itself. Returns a :class:`_Block`.
     """
     blk = _Block(rows)
     if data.gaussian is not None:
@@ -108,15 +109,18 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     if psis is None:
         psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
     blk.psis = psis
-    pairs = [
+    adjusted = [
         mmod.adjusted_counts(
             block.counts[rows], block.trials[rows], psi, block.n_categories,
-            return_offset=True,
+            return_offset=offsets,
         )
         for block, psi in zip(data.categoricals, psis)
     ]
-    blk.ztildes = [z for z, _ in pairs]
-    blk.offsets = [offset for _, offset in pairs]
+    if offsets:
+        blk.ztildes = [z for z, _ in adjusted]
+        blk.offsets = [offset for _, offset in adjusted]
+    else:
+        blk.ztildes = adjusted
     blk.H, blk.rho = score_system(
         data, gauss_state, blk.weights, cat_states, blk.ztildes, rows
     )
@@ -154,7 +158,9 @@ def _walk(data, model, log_coefficient, update):
     for rows in _instance_blocks(C.shape[1]):
         scores = C[:, rows]
         if update:
-            blk = _local_step(data, spec, gauss_state, cat_states, scores, rows)
+            blk = _local_step(
+                data, spec, gauss_state, cat_states, scores, rows, offsets=True
+            )
             if sigma2 is not None:
                 sigma2[rows] = blk.sigma2
             for state, psi in zip(cat_states, blk.psis):
@@ -169,6 +175,7 @@ def _walk(data, model, log_coefficient, update):
                 data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=None if sigma2 is None else sigma2[rows],
                 psis=[state.expansion[rows] for state in cat_states],
+                offsets=True,
             )
             c = scores.T
         Hc = np.einsum("pkl,pl->pk", blk.H, c)

@@ -14,6 +14,7 @@ underflow already at modest trial counts.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -105,13 +106,19 @@ def multinomial_fisher_mc(
     Shrinking loading_var toward zero around a fixed loading_mean turns
     the estimate into the loading-conditional Fisher matrix, which is the
     regime with a closed form to test against.
+
+    n_replicates must be an integer of at least 2. The R x R
+    cross-likelihood matrix is never formed: it is built, weighted and
+    reduced _BLOCK rows at a time, so memory is O(_BLOCK * R) beyond the
+    O(R K D) draws. A category whose probability underflows to exactly 0
+    follows the convention 0 log 0 = 0: a count vector with no mass on it
+    keeps its full likelihood under that replicate, one with mass on it
+    gets likelihood 0.
     """
     c = np.asarray(c, dtype=float)
     k = c.shape[0]
     d = int(n_categories)
-    r = int(n_replicates)
-    if r < 2:
-        raise ValueError("need at least two replicates")
+    r = _replicate_count(n_replicates)
     if n_trials < 1 or d < 2:
         raise ValueError("need at least one trial and two categories")
     rng = np.random.default_rng(seed)
@@ -123,23 +130,14 @@ def multinomial_fisher_mc(
     probs = softmax_pivot(eta)  # (R, D)
     counts = rng.multinomial(int(n_trials), probs)  # (R, D)
 
-    # log cross-likelihoods: row r is z_r scored under every replicate's
-    # probability vector
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
+    # 0 log 0 = 0: a zero probability contributes nothing to the GEMM, and
+    # its replicates' columns are set to -inf afterwards where the count
+    # row puts mass on the zero category
+    zero = probs == 0
+    log_probs = np.log(probs, out=np.zeros_like(probs), where=~zero)
+    zero_cols = np.flatnonzero(zero.any(axis=1))
+    zero_at = zero[zero_cols].T.astype(float)  # (D, columns with a zero)
     log_coeff = gammaln(n_trials + 1.0) - gammaln(counts + 1.0).sum(axis=1)
-    loglik = counts @ log_probs.T
-    loglik += log_coeff[:, None]
-    loglik = np.where(np.isnan(loglik), -np.inf, loglik)
-
-    shift = loglik.max(axis=1, keepdims=True)
-    if not np.isfinite(shift).all():
-        raise NumericalError(
-            "all cross-likelihoods underflowed; increase the replicate count "
-            "or reduce the trial count"
-        )
-    weights = np.exp(loglik - shift)  # (R, R)
-    weight_sums = weights.sum(axis=1)  # (R,)
 
     # score of replicate r: [sum_s w_rs V_s] z_r - n [sum_s w_rs V_s p_s],
     # normalized by the weight sum; shift factors cancel in the ratio
@@ -149,14 +147,42 @@ def multinomial_fisher_mc(
     info = np.zeros((k, k))
     for start in range(0, r, _BLOCK):
         stop = min(start + _BLOCK, r)
-        w = weights[start:stop]
+        # log cross-likelihoods: row r is z_r scored under every
+        # replicate's probability vector
+        w = counts[start:stop] @ log_probs.T  # (b, R)
+        w += log_coeff[start:stop, None]
+        if zero_cols.size:
+            lost = (counts[start:stop] > 0) @ zero_at
+            w[:, zero_cols] = np.where(lost > 0, -np.inf, w[:, zero_cols])
+        shift = w.max(axis=1, keepdims=True)
+        if not np.isfinite(shift).all():
+            raise NumericalError(
+                "all cross-likelihoods underflowed; increase the replicate "
+                "count or reduce the trial count"
+            )
+        w -= shift
+        np.exp(w, out=w)
+        weight_sums = w.sum(axis=1)  # (b,)
         vw = (w @ v_flat).reshape(stop - start, k, d - 1)
         score = np.einsum("bkd,bd->bk", vw, zbar[start:stop])
         score -= n_trials * (w @ vp)
-        score /= weight_sums[start:stop, None]
+        score /= weight_sums[:, None]
         info += score.T @ score
     info /= r
     return 0.5 * (info + info.T)
+
+
+def _replicate_count(n_replicates):
+    """n_replicates as an int, or ValueError unless it is an integer >= 2."""
+    if (
+        isinstance(n_replicates, bool)
+        or not isinstance(n_replicates, numbers.Integral)
+        or n_replicates < 2
+    ):
+        raise ValueError(
+            f"n_replicates must be an integer of at least 2, got {n_replicates!r}"
+        )
+    return int(n_replicates)
 
 
 def crlb(c, gaussian=None, multinomial=None, n_replicates=2000, seed=0):
@@ -169,6 +195,7 @@ def crlb(c, gaussian=None, multinomial=None, n_replicates=2000, seed=0):
     """
     c = np.asarray(c, dtype=float)
     k = c.shape[0]
+    _replicate_count(n_replicates)
     f_gauss = np.zeros((k, k))
     if gaussian is not None:
         f_gauss = gaussian_fisher(c, **gaussian)

@@ -268,6 +268,16 @@ class TestCrlbCommand:
         assert "wide-error" in err
         assert "crlb_total" in out
 
+    @pytest.mark.parametrize("n_replicates", [2000.5, "2000"])
+    def test_non_integral_replicates_rejected(self, tmp_path, capsys, n_replicates):
+        # a fractional count used to run int(n) replicates under a header
+        # naming n, and a string failed on an unrelated comparison
+        path = self._config(tmp_path, n_replicates=n_replicates)
+        code, out, err = run(capsys, "crlb", "--config", str(path))
+        assert code == 1
+        assert "n_replicates must be an integer" in err
+        assert out == ""
+
 
 class TestMseExperimentCommand:
     DOC = {

@@ -2,8 +2,14 @@
 the conditional-Fisher oracle for the concentrated-prior regime, and the
 exact bound of the score-recovery experiment."""
 
+import json
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from mmfa import (
     GeneratorConfig,
@@ -20,12 +26,51 @@ from mmfa.fisher import (
     mse_experiment,
 )
 
+CRLB_EXAMPLE = json.loads(
+    (Path(__file__).parents[1] / "configs" / "crlb-example.json").read_text()
+)
+
 
 def conditional_multinomial_fisher(c, V, n_trials):
     """Closed form at known loadings: V N (diag(p) - p p^T) V^T over the
     non-pivot categories."""
     probs = softmax_pivot(V.T @ c)[:-1]
     return n_trials * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
+
+
+def whole_matrix_fisher(c, n_trials, n_categories, n_replicates, seed, xlogy_form):
+    """multinomial_fisher_mc with its R x R cross-likelihood built whole
+    and then reduced in blocks of 256 rows, as the estimator once did.
+
+    xlogy_form False is that estimator's own arithmetic, counts @ log(p)^T
+    with NaN entries dropped to -inf; True scores each entry with
+    sum_d xlogy(z_rd, p_sd), the 0 log 0 = 0 convention.
+    """
+    k, d, r = len(c), n_categories, n_replicates
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((r, k, d - 1))
+    probs = softmax_pivot(np.einsum("rkd,k->rd", V, c))
+    counts = rng.multinomial(n_trials, probs)
+    if xlogy_form:
+        loglik = xlogy(counts[:, None, :], probs[None, :, :]).sum(axis=-1)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loglik = counts @ np.log(probs).T
+        loglik = np.where(np.isnan(loglik), -np.inf, loglik)
+    loglik += (gammaln(n_trials + 1.0) - gammaln(counts + 1.0).sum(axis=1))[:, None]
+    weights = np.exp(loglik - loglik.max(axis=1, keepdims=True))
+    zbar = counts[:, : d - 1].astype(float)
+    vp = np.einsum("rkd,rd->rk", V, probs[:, : d - 1])
+    info = np.zeros((k, k))
+    for start in range(0, r, 256):
+        w = weights[start : start + 256]
+        vw = (w @ V.reshape(r, -1)).reshape(len(w), k, d - 1)
+        score = np.einsum("bkd,bd->bk", vw, zbar[start : start + 256])
+        score -= n_trials * (w @ vp)
+        score /= w.sum(axis=1)[:, None]
+        info += score.T @ score
+    info /= r
+    return 0.5 * (info + info.T)
 
 
 class TestGaussianFisher:
@@ -141,6 +186,60 @@ class TestMultinomialFisherMc:
     def test_rejects_tiny_replicate_count(self):
         with pytest.raises(ValueError):
             multinomial_fisher_mc(np.array([1.0]), 4, 3, n_replicates=1, seed=0)
+
+    @pytest.mark.parametrize("n_replicates", [2000.5, "2000", True])
+    def test_rejects_non_integral_replicate_count(self, n_replicates):
+        with pytest.raises(ValueError, match="n_replicates"):
+            multinomial_fisher_mc(
+                np.array([1.0]), 4, 3, n_replicates=n_replicates, seed=0
+            )
+
+    @pytest.mark.parametrize("n_replicates", [257, 2000])
+    def test_matches_whole_matrix_reference(self, n_replicates):
+        c = np.array(CRLB_EXAMPLE["c"])
+        got = multinomial_fisher_mc(
+            c, n_replicates=n_replicates, seed=CRLB_EXAMPLE["seed"],
+            **CRLB_EXAMPLE["multinomial"],
+        )
+        want = whole_matrix_fisher(
+            c, n_replicates=n_replicates, seed=CRLB_EXAMPLE["seed"],
+            xlogy_form=False, **CRLB_EXAMPLE["multinomial"],
+        )
+        if n_replicates % 256 == 1:
+            # the one-row last block takes BLAS's matrix-vector path,
+            # which rounds differently from the same row of a whole GEMM
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_probability_follows_xlogy(self):
+        # at scores this large most replicates have a category whose
+        # probability underflows to 0; a count vector without mass there
+        # keeps its likelihood (once 0 * -inf = NaN dropped it to 0)
+        c = 800.0 * np.array(CRLB_EXAMPLE["c"])
+        kwargs = dict(n_trials=40, n_categories=5, n_replicates=500, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = multinomial_fisher_mc(c, **kwargs)
+            want = whole_matrix_fisher(c, xlogy_form=True, **kwargs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.trace(got) < 0.1
+
+    def test_memory_bounded_by_a_block_of_rows(self):
+        # the cross-likelihood is built and reduced 256 rows at a time:
+        # the traced peak stays below a single R x R float64 array
+        r = 2000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            multinomial_fisher_mc(
+                np.array(CRLB_EXAMPLE["c"]), n_replicates=r,
+                seed=CRLB_EXAMPLE["seed"], **CRLB_EXAMPLE["multinomial"],
+            )
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < r * r * 8, peak
 
 
 class TestCrlb:
