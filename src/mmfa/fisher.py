@@ -18,11 +18,11 @@ import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 
 from .errors import NumericalError
 from .expfam import softmax_pivot
+from .gaussian import _cholesky
+from .multinomial import _log_factorial
 
 _BLOCK = 256  # replicate block size for the cross-likelihood reductions
 
@@ -137,7 +137,7 @@ def multinomial_fisher_mc(
     log_probs = np.log(probs, out=np.zeros_like(probs), where=~zero)
     zero_cols = np.flatnonzero(zero.any(axis=1))
     zero_at = zero[zero_cols].T.astype(float)  # (D, columns with a zero)
-    log_coeff = gammaln(n_trials + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    log_coeff = math.lgamma(n_trials + 1.0) - _log_factorial(counts).sum(axis=1)
 
     # score of replicate r: [sum_s w_rs V_s] z_r - n [sum_s w_rs V_s p_s],
     # normalized by the weight sum; shift factors cancel in the ratio
@@ -213,12 +213,22 @@ def crlb(c, gaussian=None, multinomial=None, n_replicates=2000, seed=0):
 
 
 def _trace_inverse(matrix):
-    """Trace of the inverse of an SPD matrix, or inf if it is singular."""
-    try:
-        factor = cho_factor(matrix, lower=True)
-    except np.linalg.LinAlgError:
+    """Trace of the inverse of an SPD matrix, or inf if it is singular.
+
+    With F = L L^T, inv(F) = inv(L)^T inv(L), so the trace is the squared
+    Frobenius norm of inv(L). F counts as singular when its Cholesky
+    factorization fails or its smallest pivot is negligible against its
+    own scale, min(diag L)^2 <= K eps max(diag F): a rank-deficient F can
+    factor with a rounding-sized pivot whose inverse would read as a
+    finite bound of about 1e16.
+    """
+    chol = _cholesky(matrix)
+    if chol is None:
         return math.inf
-    return float(np.trace(cho_solve(factor, np.eye(matrix.shape[0]))))
+    floor = matrix.shape[0] * np.finfo(float).eps * np.diagonal(matrix).max()
+    if np.diagonal(chol).min() ** 2 <= floor:
+        return math.inf
+    return float(np.sum(np.linalg.inv(chol) ** 2))
 
 
 @dataclass
@@ -231,7 +241,9 @@ class MseExperimentConfig:
     orthogonal transform), and compared against the bound computed at the
     realized loadings: the exact Gaussian Fisher with the drawn loadings
     as deterministic means, plus the exact multinomial Fisher at the
-    drawn loadings.
+    drawn loadings. Construction raises ValueError, naming the field, for
+    a count below its minimum (two categories, one of everything else)
+    or a noise variance that is not positive.
     """
 
     n_instances: int = 100
@@ -246,6 +258,18 @@ class MseExperimentConfig:
     iterations: int = 100
     n_seeds: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        least = {"n_instances": 1, "n_factors": 1, "n_trials": 1,
+                 "iterations": 1, "n_seeds": 1, "n_categories": 2}
+        for name, minimum in least.items():
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+        if not self.noise_variance > 0:
+            raise ValueError(
+                f"noise_variance must be positive, got {self.noise_variance!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc):

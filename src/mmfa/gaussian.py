@@ -10,10 +10,10 @@ scoring pass one block of instances at a time
 (:func:`engine._instance_blocks`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalError
 
@@ -192,7 +192,9 @@ def gaussian_entry_terms(sigma2, Y, mask, weights, alpha, beta):
     # per observed entry: -log(2 pi sigma2)/2 - y^2 / (2 sigma2) from the
     # data term plus log InvGamma(sigma2; alpha, rate 1/beta); w and Y are
     # 0 where hidden
-    total = n_obs * (-0.5 * np.log(2.0 * np.pi) + alpha * np.log(rate) - gammaln(alpha))
+    total = n_obs * (
+        -0.5 * np.log(2.0 * np.pi) + alpha * np.log(rate) - math.lgamma(alpha)
+    )
     total -= (
         (alpha + 1.5) * log_sigma2.sum()
         + 0.5 * np.vdot(Y, wy)

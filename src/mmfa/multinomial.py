@@ -12,10 +12,10 @@ so every update works in K x K space: nothing of size (D2-1)K is ever
 formed, and one EM sweep costs O(K^2 P + K P D2).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, NumericalError
 from .expfam import CurvatureMatrix, _shifted_exp
@@ -232,17 +232,38 @@ def multinomial_score_terms(state, ztilde):
     return score_base(state), np.asarray(ztilde, dtype=float) @ state.loading_mean.T
 
 
+def _log_factorial(x):
+    """log x! = lgamma(x + 1) elementwise for x >= 0, from math.lgamma.
+
+    Whole numbers no larger than the number of entries (counts and trial
+    totals in practice) gather from a table of log 0!, ..., log max(x)!,
+    one lgamma call per table entry. Any other input calls math.lgamma
+    once per distinct value; a negative integer raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size and 0.0 <= x.min() and x.max() <= x.size:
+        whole = x.astype(np.intp)
+        if np.array_equal(whole, x):
+            table = [math.lgamma(n + 1.0) for n in range(whole.max() + 1)]
+            return np.array(table)[whole]
+    values, inverse = np.unique(x, return_inverse=True)
+    logs = np.array([math.lgamma(v + 1.0) for v in values])
+    return logs[inverse].reshape(x.shape)
+
+
 def log_multinomial_coefficient(counts, trials):
     """log N_i! - sum_d log z_id! per instance, pivot category included.
 
-    Depends on the data only, so a fit computes it once."""
+    Counts need not be whole numbers: log z! is lgamma(z + 1) throughout
+    (:func:`_log_factorial`). Depends on the data only, so a fit computes
+    it once."""
     counts = np.asarray(counts, dtype=float)
     trials = np.asarray(trials, dtype=float)
     pivot = trials - counts.sum(axis=1)
     return (
-        gammaln(trials + 1.0)
-        - gammaln(counts + 1.0).sum(axis=1)
-        - gammaln(pivot + 1.0)
+        _log_factorial(trials)
+        - _log_factorial(counts).sum(axis=1)
+        - _log_factorial(pivot)
     )
 
 

@@ -2,6 +2,8 @@
 simulate -> fit -> eval chain."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +302,17 @@ class TestMseExperimentCommand:
         assert lines[0].split(",")[0] == "iteration"
         assert len(lines) == 4  # header + 3 iterations
 
+    @pytest.mark.parametrize("key, value", [("n_seeds", 0), ("noise_variance", 0.0)])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
+        # n_seeds=0 once wrote NaN rows, and noise_variance=0 failed only
+        # after the whole fit
+        path = tmp_path / "mse.json"
+        path.write_text(json.dumps({**self.DOC, key: value}))
+        code, out, err = run(capsys, "mse-experiment", "--config", str(path))
+        assert code == 1
+        assert key in err
+        assert out == ""
+
     def test_removed_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "mse.json"
         path.write_text(json.dumps({**self.DOC, "fisher_replicates": 120}))
@@ -335,3 +348,52 @@ class TestRankAuc:
 
     def test_single_class_is_nan(self):
         assert np.isnan(_rank_auc(np.arange(4.0), np.zeros(4, dtype=bool)))
+
+
+# Runs in a fresh interpreter: simulate -> fit -> eval -> crlb ->
+# mse-experiment through cli.main, then writes the exit codes and every
+# imported module whose name starts with "scipy" to argv[1]/out.json.
+NUMPY_ONLY_CHAIN = """
+import json, sys
+from pathlib import Path
+
+import mmfa
+from mmfa import cli
+
+base = Path(sys.argv[1])
+gen = {"n_factors": 2, "n_instances": 60, "n_gaussian": 4, "n_categories": [4],
+       "n_trials": 6, "noise_variance": 0.5, "seed": 3}
+crlb = {"c": [0.5, -0.2], "gaussian": {"mean": [[1.0, 0.0], [0.0, 1.0]]},
+        "multinomial": {"n_trials": 10, "n_categories": 4},
+        "n_replicates": 50, "seed": 1}
+mse = {"n_instances": 10, "n_gaussian": 3, "n_categories": 3, "n_factors": 2,
+       "n_trials": 4, "noise_variance": 0.5, "iterations": 2, "n_seeds": 1}
+for name, doc in [("gen", gen), ("crlb", crlb), ("mse", mse)]:
+    (base / f"{name}.json").write_text(json.dumps(doc))
+manifest = str(base / "data" / "manifest.json")
+steps = [
+    ["simulate", "--config", str(base / "gen.json"), "-o", str(base / "data")],
+    ["fit", manifest, "--k", "2", "--tol", "1e-4", "-o", str(base / "model.mmfa")],
+    ["eval", str(base / "model.mmfa"), manifest, "--task", "predict",
+     "-o", str(base / "predict.csv")],
+    ["crlb", "--config", str(base / "crlb.json"), "-o", str(base / "crlb.csv")],
+    ["mse-experiment", "--config", str(base / "mse.json"),
+     "-o", str(base / "mse.csv")],
+]
+codes = [cli.main(step) for step in steps]
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+(base / "out.json").write_text(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: neither the package nor any
+    # command may import it
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert out["codes"] == [0, 0, 0, 0, 0], proc.stderr
+    assert out["scipy"] == []

@@ -280,6 +280,22 @@ class TestCrlb:
         with pytest.raises(NumericalError):
             crlb(np.array([1.0, 1.0]), gaussian={"mean": np.zeros((1, 2))})
 
+    def test_rank_deficient_fisher_is_singular(self):
+        # two features cannot inform three factors; the Cholesky factor of
+        # such a matrix can survive rounding with a pivot of about 1e-8
+        mean = np.random.default_rng(3).standard_normal((2, 3))
+        with pytest.raises(NumericalError, match="singular"):
+            crlb(np.array([0.3, -1.0, 0.5]),
+                 gaussian={"mean": mean, "noise_variance": 5.0})
+
+    def test_tiny_well_conditioned_fisher_stays_finite(self):
+        # singularity is judged against the matrix's own scale
+        mean = np.random.default_rng(4).standard_normal((6, 3))
+        result = crlb(np.zeros(3), gaussian={"mean": mean, "noise_variance": 1e8})
+        want = np.trace(np.linalg.inv(result.gaussian))
+        assert result.crlb == pytest.approx(want, rel=1e-12)
+        assert result.crlb > 1e7
+
     def test_additivity_inequality(self):
         # trace((F_g + F_m)^-1) <= min of the single-block bounds
         rng = np.random.default_rng(9)
@@ -334,6 +350,30 @@ class TestAlignedMse:
         noisy = truth + 0.1 * rng.standard_normal(truth.shape)
         got = aligned_score_mse(noisy, truth)
         assert 0.0 < got < 2 * 0.01 * 2 * 30 / 30
+
+
+class TestMseExperimentConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_seeds", 0), ("iterations", 0), ("n_instances", 0), ("n_factors", 0),
+         ("n_trials", 0), ("n_categories", 1), ("noise_variance", 0.0),
+         ("noise_variance", -1.0)],
+    )
+    def test_rejects_out_of_range_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MseExperimentConfig(**{field: value})
+
+    @pytest.mark.filterwarnings("ignore:n_factors=3 is not smaller")
+    def test_rank_deficient_gaussian_block_reports_inf(self):
+        # two features cannot inform three factors; this seed once
+        # reported a Gaussian bound of 8.5e16
+        config = MseExperimentConfig(
+            n_instances=12, n_gaussian=2, n_categories=5, n_factors=3,
+            n_trials=5, iterations=2, n_seeds=1, seed=1,
+        )
+        result = mse_experiment(config)
+        assert result.crlb_gaussian == np.inf
+        assert np.isfinite(result.crlb_total)
 
 
 class TestMseExperimentSmoke:

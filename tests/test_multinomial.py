@@ -7,6 +7,7 @@ The score-update quadratic is checked against the expected-bound trace
 identity evaluated with the dense posterior.
 """
 
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,9 @@ from mmfa import (
 from mmfa.multinomial import (
     _e_step_finish,
     _e_step_sums,
+    _log_factorial,
     expected_bound_loglik,
+    log_multinomial_coefficient,
     multinomial_score_terms as block_score_terms,
     score_base,
     spd_solve,
@@ -372,6 +375,45 @@ class TestBoundConsistency:
                 - trials[i] * offset
             )
             assert got[i] == pytest.approx(expected, abs=1e-10)
+
+
+class TestLogFactorial:
+    def test_integers_match_gammaln(self):
+        # whole numbers within the array's size gather from the table
+        x = np.arange(1.0, 10001.0).reshape(100, 100)
+        np.testing.assert_allclose(_log_factorial(x), gammaln(x + 1.0), rtol=1e-14)
+        assert _log_factorial(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_large_integers_match_gammaln(self):
+        # a maximum beyond the entry count calls lgamma per distinct value
+        x = np.array([0.0, 3.0, 3.0, 1e7])
+        np.testing.assert_allclose(_log_factorial(x), gammaln(x + 1.0), rtol=1e-14)
+
+    def test_non_integers_match_gammaln(self):
+        # away from lgamma's roots at x = 0 and x = 1, where only an
+        # absolute tolerance is meaningful
+        rng = np.random.default_rng(4)
+        x = np.concatenate([[0.5, 1.5, 2.5, 7.25], rng.uniform(2.0, 1e4, 1000)])
+        np.testing.assert_allclose(_log_factorial(x), gammaln(x + 1.0), rtol=1e-14)
+
+    def test_coefficient_of_integer_counts_is_exact(self):
+        rng = np.random.default_rng(5)
+        full = rng.multinomial(60, [0.1, 0.2, 0.3, 0.4], size=50)
+        data = MultinomialData.from_full_counts(full)
+        want = [
+            math.log(math.factorial(sum(row)) // math.prod(map(math.factorial, row)))
+            for row in full.tolist()
+        ]
+        got = log_multinomial_coefficient(data.counts, data.trials)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_coefficient_of_fractional_counts(self):
+        counts = np.array([[0.5, 1.25], [2.5, 0.0], [0.0, 0.0]])
+        trials = np.array([3.0, 4.75, 0.0])
+        pivot = trials - counts.sum(axis=1)
+        want = gammaln(trials + 1) - gammaln(counts + 1).sum(axis=1) - gammaln(pivot + 1)
+        got = log_multinomial_coefficient(counts, trials)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 @pytest.mark.slow
