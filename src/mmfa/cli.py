@@ -109,6 +109,14 @@ def _cmd_fit(args):
         "csv",
         trace_path,
     )
+    # wall-clock seconds vary run to run, so they stay out of the trace
+    _emit_report(
+        {},
+        ["iteration", "seconds"],
+        list(enumerate(model.iteration_seconds, start=1)),
+        "csv",
+        args.output + ".timing.csv",
+    )
     if not model.converged:
         raise _MaxItersReached()
 

@@ -20,16 +20,24 @@ One iteration runs, in order:
   global step reads.
 
 This module decides the blocking; the Gaussian and multinomial modules
-do per-block arithmetic only.
+do per-block arithmetic only. A pass of several blocks runs them on a
+thread pool of one worker per usable core, with OpenBLAS held at one
+thread, and adds their results in block order (:func:`_blocks_in_order`),
+so results do not depend on the number of workers.
 
 Every update is an exact coordinate-ascent step on the same surrogate
 objective, so the tracked objective never decreases. Beyond its outputs
 (scores, noise variances, expansion points, posteriors), a fit holds one
-block's working set: no array of P D1 or K^2 P floats is made per
-iteration.
+block's working set per worker: no array of P D1 or K^2 P floats is made
+per iteration.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -46,12 +54,120 @@ NONNEG_MAX_ITERS = 20_000
 # Instances per block of the fit's and scoring's passes: a block's working
 # set holds K^2 * INSTANCE_BLOCK floats (1.6 MB at K=10), whatever P is.
 INSTANCE_BLOCK = 2048
+# Threads a pass runs its blocks on; None means every usable core.
+_WORKERS = None
 
 
 def _instance_blocks(p):
     """Consecutive slices of INSTANCE_BLOCK instances covering range(p)."""
     for start in range(0, p, INSTANCE_BLOCK):
         yield slice(start, start + INSTANCE_BLOCK)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy calls, or None.
+
+    The functions are looked up through numpy's core extension, whose
+    handle also reaches the BLAS it was linked against.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pinned = []  # per pass holding the pin: the thread count to restore
+
+
+@contextlib.contextmanager
+def _one_blas_thread(get, set_):
+    """OpenBLAS at one thread while a pass runs. Passes that run at the
+    same time on several caller threads share the pin: the last to finish
+    restores the count the first one found."""
+    with _pin_lock:
+        _pinned.append(_pinned[0] if _pinned else get())
+        set_(1)
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            saved = _pinned.pop()
+            if not _pinned:
+                set_(saved)
+
+
+def _blocks_in_order(p, step):
+    """The results of step for each slice of :func:`_instance_blocks`, in
+    block order.
+
+    step(rows) returns (result, held): held is whatever the thread must
+    keep referenced until it has built its next block (see run below).
+    A pass of more than one block runs the blocks on min(workers, blocks)
+    threads, workers being _WORKERS or else the usable cores: the calling
+    thread and a pool of the others, each with one block at a time in
+    flight. OpenBLAS is held at one thread for the pass: threads of both
+    kinds would compete for the cores, and its rounding would then depend
+    on the worker count. step may write only its own rows of shared
+    arrays; the caller reduces the results in the order they are yielded,
+    so its result does not depend on the worker count either. Where
+    OpenBLAS's thread count cannot be set, the blocks run one after
+    another on the calling thread. An exception from a block is raised
+    once the blocks in flight have finished.
+    """
+    blocks = list(_instance_blocks(p))
+    held = threading.local()
+
+    def run(rows):
+        # what a thread's previous block held stays referenced until the
+        # thread has built its next block. Freed first, malloc hands the
+        # pages of a wide block's arrays back to the system and the next
+        # block faults them all in again: at 255 categories that tripled
+        # the page faults and made an iteration 1.6 times slower.
+        result, held.arrays = step(rows)
+        return result
+
+    blas = _blas_threads() if len(blocks) > 1 else None
+    if blas is None:
+        for rows in blocks:
+            yield run(rows)
+        return
+    # imported here, not with the module: it imports logging, and a process
+    # whose passes are single blocks never needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_WORKERS or _usable_cores(), len(blocks))
+    with (_one_blas_thread(*blas),
+          ThreadPoolExecutor(max(workers - 1, 1), "mmfa-block") as pool):
+        # the calling thread takes the first block of each group of
+        # workers blocks and the pool the others; a pool thread starts at
+        # the first block submitted to it
+        for start in range(0, len(blocks), workers):
+            group = [pool.submit(run, rows) for rows in blocks[start + 1:start + workers]]
+            yield run(blocks[start])
+            for future in group:
+                yield future.result()
 
 
 def _prior_multinomial_state(n_categories, k, p):
@@ -144,18 +260,18 @@ def _walk(data, model, log_coefficient, update):
     (:func:`_log_coefficient` of data). The sums, at the same scores, are
     what :func:`_global_step` reads: the Gaussian precision sums and
     C (w * Y), then C diag(N) C^T and C ztilde per categorical block.
+
+    The blocks run through :func:`_blocks_in_order`, so on several
+    threads at once. Each block writes only its own rows of the model's
+    arrays and returns its objective terms and its sums; they are added
+    here, block after block, so the result does not depend on the number
+    of threads.
     """
     spec, C, sigma2 = model.spec, model.scores, model.noise_variance
     gauss_state, cat_states = model.gaussian, model.categoricals
     lam = spec.effective_ridge
-    k = C.shape[0]
-    total = 0.0
-    sums = [] if data.gaussian is None else [
-        np.zeros((k * k, data.n_gaussian)), np.zeros((k, data.n_gaussian))
-    ]
-    for block in data.categoricals:
-        sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
-    for rows in _instance_blocks(C.shape[1]):
+
+    def step(rows):
         scores = C[:, rows]
         if update:
             blk = _local_step(
@@ -179,19 +295,33 @@ def _walk(data, model, log_coefficient, update):
             )
             c = scores.T
         Hc = np.einsum("pkl,pl->pk", blk.H, c)
-        total += float(np.sum(c * (blk.rho - 0.5 * Hc)))
+        terms = [float(np.sum(c * (blk.rho - 0.5 * Hc)))]
         if lam > 0:
-            total -= 0.5 * lam * float(np.sum(c * c))
+            terms.append(-0.5 * lam * float(np.sum(c * c)))
         if blk.weights is not None:
-            total += gmod.gaussian_entry_terms(
+            terms.append(gmod.gaussian_entry_terms(
                 blk.sigma2, blk.Y, blk.mask, blk.weights, spec.alpha, spec.beta
-            )
+            ))
         for block, offset in zip(data.categoricals, blk.offsets):
-            total -= float(block.trials[rows] @ offset)
+            terms.append(-float(block.trials[rows] @ offset))
 
         parts = [] if blk.weights is None else [*gmod._e_step_sums(c.T, *blk.weights)]
         for block, ztilde in zip(data.categoricals, blk.ztildes):
             parts += mmod._e_step_sums(c.T, block.trials[rows], ztilde)
+        # held: the arrays that grow with the category count; holding the
+        # Gaussian ones too would cost a W1 fit 14 MB
+        return (terms, parts), (blk.psis, blk.ztildes, blk.offsets)
+
+    k = C.shape[0]
+    total = 0.0
+    sums = [] if data.gaussian is None else [
+        np.zeros((k * k, data.n_gaussian)), np.zeros((k, data.n_gaussian))
+    ]
+    for block in data.categoricals:
+        sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
+    for terms, parts in _blocks_in_order(C.shape[1], step):
+        for term in terms:
+            total += term
         for acc, part in zip(sums, parts):
             acc += part
     return total + _posterior_terms(gauss_state, cat_states) + log_coefficient, sums
@@ -404,9 +534,11 @@ def fit(data, spec, callback=None):
     scores, reads its share of the objective off it, and adds its share
     of the sums the next iteration's posteriors are finished from.
     trace[0] comes from the same walk at the initial state, without the
-    solve and the updates. Beyond the returned arrays a fit holds one
-    block's working set, so its memory grows with P only through its
-    outputs and the data.
+    solve and the updates. The blocks of a walk run on the usable cores,
+    with OpenBLAS at one thread and their results added in block order,
+    so the result does not depend on the number of cores. Beyond the
+    returned arrays a fit holds one block's working set per worker, so
+    its memory grows with P only through its outputs and the data.
 
     callback, if given, is invoked after every iteration as
     callback(iteration, model) with the FittedModel the fit returns,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as gmod
 from . import multinomial as mmod
-from .engine import _instance_blocks, _local_step, solve_scores_batch
+from .engine import _blocks_in_order, _local_step, solve_scores_batch
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
 from .expfam import softmax_pivot
 
@@ -71,8 +71,12 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
     expansion points at the block's scores, then its score system
     (:func:`engine.score_system`), which is solved for the new scores.
 
-    The log-likelihood is read in one more pass over the same blocks, so
-    beyond its outputs scoring holds one block's working set. Its
+    The log-likelihood is read in one more pass over the same blocks.
+    Each pass runs its blocks on the usable cores
+    (:func:`engine._blocks_in_order`) and each block writes only its own
+    rows, so the result does not depend on the number of cores and,
+    beyond its outputs, scoring holds one block's working set per
+    worker. Its
     Gaussian part integrates the loadings out at the prior-mode noise
     variance; the iterated per-instance variances affect only where the
     scores land. Its categorical part is the expected bound at the
@@ -84,28 +88,34 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
     prior_mode = gmod.prior_mode_variance(spec.alpha, spec.beta)
 
     C = np.zeros((p, k))
+
+    def inner_step(rows):
+        # the first step starts from prior-mode noise variances; its
+        # expansion points, psi at C = 0, are zero
+        b = C[rows].shape[0]
+        sigma2 = np.full((b, data.n_gaussian), prior_mode) if step == 0 else None
+        blk = _local_step(
+            data, spec, model.gaussian, model.categoricals, C[rows].T, rows,
+            sigma2=sigma2,
+        )
+        c = solve_scores_batch(
+            blk.H, blk.rho, spec.score_update, spec.ridge_weight,
+            warm_start=C[rows],
+        )
+        moved = float(np.abs(c - C[rows]).max())
+        C[rows] = c
+        return moved, (blk.psis, blk.ztildes)  # held as in engine._walk
+
     for step in range(max_inner):
         moved = 0.0
-        for rows in _instance_blocks(p):
-            # the first step starts from prior-mode noise variances; its
-            # expansion points, psi at C = 0, are zero
-            b = C[rows].shape[0]
-            sigma2 = np.full((b, data.n_gaussian), prior_mode) if step == 0 else None
-            blk = _local_step(
-                data, spec, model.gaussian, model.categoricals, C[rows].T, rows,
-                sigma2=sigma2,
-            )
-            c = solve_scores_batch(
-                blk.H, blk.rho, spec.score_update, spec.ridge_weight,
-                warm_start=C[rows],
-            )
-            moved = max(moved, float(np.abs(c - C[rows]).max()))
-            C[rows] = c
+        for block_moved in _blocks_in_order(p, inner_step):
+            moved = max(moved, block_moved)
         if moved < INNER_TOL:
             break
 
     loglik = np.zeros(p)
-    for rows in _instance_blocks(p):
+
+    def block_loglik(rows):
         c = C[rows].T
         if data.gaussian is not None:
             mask = None if data.mask is None else data.mask[rows]
@@ -117,6 +127,10 @@ def score_dataset(model, data, max_inner=INNER_MAX_ITERS):
             loglik[rows] += mmod.expected_bound_loglik(
                 state, block.counts[rows], block.trials[rows], psi, c
             )
+        return None, None
+
+    for _ in _blocks_in_order(p, block_loglik):
+        pass
     return C.T, loglik
 
 

@@ -84,6 +84,12 @@ class TestFit:
         assert trace[0].startswith("# seed=3")
         values = [float(line.split(",")[1]) for line in trace[4:]]
         assert all(b >= a - 1e-8 for a, b in zip(values, values[1:]))
+        # one timing row per iteration; the trace has one more, iteration 0
+        timing = (tmp_path / "model.mmfa.timing.csv").read_text().splitlines()
+        assert timing[0] == "iteration,seconds"
+        rows = [line.split(",") for line in timing[1:]]
+        assert [int(i) for i, _ in rows] == list(range(1, len(values)))
+        assert all(float(seconds) > 0 for _, seconds in rows)
 
     def test_model_and_blob_move_together(self, sim_dir, tmp_path, capsys):
         model_path = tmp_path / "model.mmfa"

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -23,7 +26,7 @@ from mmfa import (
     select_k,
     surrogate_objective,
 )
-from mmfa import engine
+from mmfa import engine, inference
 from mmfa import multinomial as mmod
 from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch
 
@@ -517,12 +520,22 @@ class TestInstanceBlocks:
         np.testing.assert_array_equal(again.scores, blocked.scores)
 
     @pytest.mark.filterwarnings("ignore:n_factors")
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
-    def test_no_k2p_stack(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "mode, workers",
+        [
+            pytest.param(mode, workers, id=mode if workers == 1 else f"{mode}-2workers")
+            for mode, workers in itertools.product(
+                ("unconstrained", "ridge", "nonnegative"), (1, 2)
+            )
+        ],
+    )
+    def test_no_k2p_stack(self, monkeypatch, mode, workers):
         # a one-iteration fit and a one-step scoring call each allocate
-        # less than a single (P, K, K) float64 array at their peak
+        # less than a single (P, K, K) float64 array at their peak, with
+        # one block in flight per worker
         k, p = 10, 24 * self.CHUNK + 7
         monkeypatch.setattr(engine, "INSTANCE_BLOCK", self.CHUNK)
+        monkeypatch.setattr(engine, "_WORKERS", workers)
         data = sample_dataset(
             GeneratorConfig(
                 n_factors=2, n_instances=p, n_gaussian=3, n_categories=(3,),
@@ -560,10 +573,13 @@ class TestInstanceBlocks:
             )
         ).dataset
 
-    def test_fit_memory_bounded_by_a_block(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1worker", "2workers"])
+    def test_fit_memory_bounded_by_a_block(self, monkeypatch, workers):
         # beyond the arrays it returns, a fit holds one block's working
-        # set: its traced peak stays below a single (P, D1) float64 array
+        # set per worker: its traced peak stays below a single (P, D1)
+        # float64 array
         data = self._wide_data(monkeypatch)
+        monkeypatch.setattr(engine, "_WORKERS", workers)
         spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1)
         tracemalloc.start()
         try:
@@ -576,11 +592,22 @@ class TestInstanceBlocks:
         bound = data.gaussian.nbytes
         assert peak - outputs < bound, (peak, outputs, bound)
 
-    @pytest.mark.parametrize("max_inner", [1, 50])
-    def test_score_memory_bounded_by_a_block(self, monkeypatch, max_inner):
+    @pytest.mark.parametrize(
+        "max_inner, workers",
+        [
+            pytest.param(
+                max_inner, workers,
+                id=str(max_inner) if workers == 1 else f"{max_inner}-2workers",
+            )
+            for max_inner, workers in itertools.product((1, 50), (1, 2))
+        ],
+    )
+    def test_score_memory_bounded_by_a_block(self, monkeypatch, max_inner, workers):
         # scoring, its log-likelihood included, also holds one block's
-        # working set beyond the scores and log-likelihoods it returns
+        # working set per worker beyond the scores and log-likelihoods it
+        # returns
         data = self._wide_data(monkeypatch)
+        monkeypatch.setattr(engine, "_WORKERS", workers)
         model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1))
         tracemalloc.start()
         try:
@@ -592,6 +619,160 @@ class TestInstanceBlocks:
         outputs = scores.nbytes + loglik.nbytes
         bound = data.gaussian.nbytes
         assert peak - outputs < bound, (peak, outputs, bound)
+
+
+class TestBlockPool:
+    """A pass of several blocks runs them on the calling thread and a
+    thread pool, with OpenBLAS at one thread, and reduces their results
+    in block order."""
+
+    CHUNK = 16
+
+    @pytest.fixture
+    def data(self, monkeypatch):
+        # five blocks of 16 instances plus a remainder of 5; hidden
+        # Gaussian entries hold NaN
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", self.CHUNK)
+        data = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=5 * self.CHUNK + 5, n_gaussian=5,
+                n_categories=(4, 3), n_trials=6, noise_variance=0.5,
+                missing_fraction=0.3, seed=31,
+            )
+        ).dataset
+        return HeteroDataset(
+            gaussian=np.where(data.mask, data.gaussian, np.nan), mask=data.mask,
+            categoricals=data.categoricals,
+        )
+
+    @staticmethod
+    def spec(mode="ridge"):
+        return ModelSpec(
+            n_factors=2, score_update=mode, ridge_weight=0.3, tol=1e-300,
+            max_iters=12, seed=4,
+        )
+
+    @staticmethod
+    def results(data, spec):
+        """Everything a fit and scoring compute, for array_equal checks."""
+        model = fit(data, spec)
+        scored = [
+            mmfa.score_dataset(model, data, max_inner=max_inner)
+            for max_inner in (inference.INNER_MAX_ITERS, 1)
+        ]
+        return [
+            np.array(model.objective_trace), *model_arrays(model),
+            np.array(surrogate_objective(model, data)),
+            *itertools.chain.from_iterable(scored),
+        ]
+
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's (get, set), at 2 threads for the test, so that a pass
+        that leaves it at 1 shows."""
+        blas = engine._blas_threads()
+        if blas is None:
+            pytest.skip("the thread count of this BLAS cannot be set")
+        get, set_ = blas
+        saved = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("this OpenBLAS cannot run 2 threads")
+            yield blas
+        finally:
+            set_(saved)
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    def test_results_identical_across_worker_counts(self, monkeypatch, data, mode):
+        monkeypatch.setattr(engine, "_WORKERS", 1)
+        one = self.results(data, self.spec(mode))
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        two = self.results(data, self.spec(mode))
+        assert len(one) == len(two)
+        for got, want in zip(two, one):
+            np.testing.assert_array_equal(got, want)
+
+    def test_blocks_run_on_the_pool_at_one_blas_thread(self, monkeypatch, data, blas):
+        get, _ = blas
+        seen = set()
+        local_step = engine._local_step
+
+        def recording(*args, **kwargs):
+            seen.add((threading.current_thread().name, get()))
+            return local_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_local_step", recording)
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        self.results(data, self.spec())
+        # the calling thread takes a share of the blocks, one pool thread
+        # the rest
+        threads = {name for name, _ in seen}
+        assert len(threads) == 2 and threading.current_thread().name in threads
+        assert {count for _, count in seen} == {1}
+        assert get() == 2
+
+    def test_block_error_raised_as_in_serial_and_blas_restored(
+        self, monkeypatch, data, blas
+    ):
+        get, _ = blas
+        local_step = engine._local_step
+        calls = []
+
+        def failing(data, spec, gauss_state, cat_states, scores, rows, **kwargs):
+            # the middle block fails on the second iteration's pass
+            if rows.start == 2 * self.CHUNK and kwargs.get("psis") is None:
+                calls.append(rows)
+                if len(calls) == 2:
+                    raise NumericalError("singular block")
+            return local_step(data, spec, gauss_state, cat_states, scores, rows, **kwargs)
+
+        monkeypatch.setattr(engine, "_local_step", failing)
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        messages = []
+        for setter in (None, blas):  # serial, then on the pool
+            calls.clear()
+            monkeypatch.setattr(engine, "_blas_threads", lambda setter=setter: setter)
+            with pytest.raises(NumericalError) as info:
+                fit(data, self.spec())
+            messages.append(str(info.value))
+            assert get() == 2
+        assert messages[0] == messages[1] == "iteration 2: singular block"
+
+    def test_serial_without_blas_setter(self, monkeypatch, data, blas):
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        pooled = self.results(data, self.spec())
+        threads = set()
+        local_step = engine._local_step
+
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return local_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_local_step", recording)
+        monkeypatch.setattr(engine, "_blas_threads", lambda: None)
+        serial = self.results(data, self.spec())
+        assert threads == {threading.current_thread().name}
+        for got, want in zip(serial, pooled):
+            np.testing.assert_array_equal(got, want)
+
+    def test_import_starts_no_thread_and_fit_exits(self):
+        script = (
+            "import threading\n"
+            "import mmfa\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "from mmfa import engine\n"
+            "engine.INSTANCE_BLOCK, engine._WORKERS = 16, 2\n"
+            "data = mmfa.sample_dataset(mmfa.GeneratorConfig(\n"
+            "    n_factors=2, n_instances=85, n_gaussian=3, n_categories=(3,),\n"
+            "    seed=1)).dataset\n"
+            "mmfa.fit(data, mmfa.ModelSpec(n_factors=2, tol=1e-300, max_iters=3))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSelectK:
