@@ -52,7 +52,8 @@ from .multinomial import MultinomialState
 NONNEG_KKT_TOL = 1e-8
 NONNEG_MAX_ITERS = 20_000
 # Instances per block of the fit's and scoring's passes: a block's working
-# set holds K^2 * INSTANCE_BLOCK floats (1.6 MB at K=10), whatever P is.
+# set holds a few arrays of K^2 or K(K+1)/2 floats per instance (the score
+# systems take 1.6 MB at K=10), whatever P is.
 INSTANCE_BLOCK = 2048
 # Threads a pass runs its blocks on; None means every usable core.
 _WORKERS = None
@@ -191,8 +192,8 @@ class _Block:
     mask: np.ndarray = None  # (b, D1), or None when every entry is observed
     sigma2: np.ndarray = None  # (b, D1) noise variances
     weights: tuple = None  # (w, w * Y) at sigma2
-    psis: list = None  # expansion points, (b, D - 1) per categorical block
-    ztildes: list = None  # adjusted counts at psis
+    psis: list = None  # expansion points, (D - 1, b) per categorical block
+    ztildes: list = None  # adjusted counts at psis, (D - 1, b)
     offsets: list = None  # bound offsets at psis, for the objective only
     H: np.ndarray = None  # (b, K, K) score system
     rho: np.ndarray = None  # (b, K)
@@ -205,12 +206,13 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     scores (K, b) are the block's current scores. Its noise variances are
     sigma2 or, if None, their M-step (:func:`gaussian.gaussian_m_step`)
     at scores; its expansion points are psis or, if None,
-    psi = loading_mean^T c (:func:`multinomial.psi_update`) at scores.
+    psi = loading_mean^T C at scores, both category-first (D - 1, b).
     From them come the Gaussian weights, the adjusted counts (with their
-    bound offsets if offsets, which only the objective reads) and the
-    score system (:func:`score_system`). Fitting and scoring both take
-    this step with the loading posteriors held fixed, and each solves the
-    system itself. Returns a :class:`_Block`.
+    bound offsets if offsets, which only the objective reads;
+    :func:`multinomial._bound_terms`) and the score system
+    (:func:`score_system`). Fitting and scoring both take this step with
+    the loading posteriors held fixed, and each solves the system itself.
+    Returns a :class:`_Block`.
     """
     blk = _Block(rows)
     if data.gaussian is not None:
@@ -223,13 +225,10 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
         blk.sigma2 = sigma2
         blk.weights = gmod._weighted(sigma2, blk.Y, blk.mask)
     if psis is None:
-        psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
+        psis = [state.loading_mean.T @ scores for state in cat_states]
     blk.psis = psis
     adjusted = [
-        mmod.adjusted_counts(
-            block.counts[rows], block.trials[rows], psi, block.n_categories,
-            return_offset=offsets,
-        )
+        mmod._bound_terms(block.counts[rows].T, block.trials[rows], psi, offsets)
         for block, psi in zip(data.categoricals, psis)
     ]
     if offsets:
@@ -258,8 +257,9 @@ def _walk(data, model, log_coefficient, update):
     system, plus the per-entry and per-instance terms free of the scores,
     then the terms of the loading posteriors alone and log_coefficient
     (:func:`_log_coefficient` of data). The sums, at the same scores, are
-    what :func:`_global_step` reads: the Gaussian precision sums and
-    C (w * Y), then C diag(N) C^T and C ztilde per categorical block.
+    what :func:`_global_step` reads: the packed Gaussian precision sums
+    and C (w * Y), then C diag(N) C^T and C ztilde^T per categorical
+    block.
 
     The blocks run through :func:`_blocks_in_order`, so on several
     threads at once. Each block writes only its own rows of the model's
@@ -279,8 +279,10 @@ def _walk(data, model, log_coefficient, update):
             )
             if sigma2 is not None:
                 sigma2[rows] = blk.sigma2
-            for state, psi in zip(cat_states, blk.psis):
-                state.expansion[rows] = psi
+            for state in cat_states:
+                # by a second product, not a transposing copy of blk.psis,
+                # which costs 8 times as much at 512 categories
+                state.expansion[rows] = mmod.psi_update(state.loading_mean, scores)
             c = solve_scores_batch(
                 blk.H, blk.rho, spec.score_update, spec.ridge_weight,
                 warm_start=scores.T,
@@ -290,7 +292,7 @@ def _walk(data, model, log_coefficient, update):
             blk = _local_step(
                 data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=None if sigma2 is None else sigma2[rows],
-                psis=[state.expansion[rows] for state in cat_states],
+                psis=[state.expansion[rows].T for state in cat_states],
                 offsets=True,
             )
             c = scores.T
@@ -315,7 +317,7 @@ def _walk(data, model, log_coefficient, update):
     k = C.shape[0]
     total = 0.0
     sums = [] if data.gaussian is None else [
-        np.zeros((k * k, data.n_gaussian)), np.zeros((k, data.n_gaussian))
+        np.zeros((k * (k + 1) // 2, data.n_gaussian)), np.zeros((k, data.n_gaussian))
     ]
     for block in data.categoricals:
         sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
@@ -392,7 +394,8 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
     The SPD modes factor each system once, L L^T, by a Cholesky vectorized
     across instances, then substitute forward and back against L. The
     factor works in a (K, K, P) array: an H that is a view of one, as
-    :func:`score_system` returns, is copied without reordering. Returns
+    :func:`score_system` returns once it has unpacked its packed systems,
+    is copied without reordering. Returns
     scores of shape (P, K). A non-finite entry in H or rho raises
     NumericalError, and so does a pivot that is not positive: the system
     is then singular or indefinite. Every instance's result is
@@ -487,34 +490,34 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
 
     Sums the Gaussian terms at weights (w, w * Y) (:func:`gaussian._weighted`)
     and, for each categorical block, the bounded multinomial terms at its
-    adjusted counts ztilde (:func:`multinomial.adjusted_counts` at the
-    block's expansion points). weights and ztildes hold the rows'
-    instances only. Every instance's Hessian is a weighted sum of the same
-    few K x K matrices,
+    category-first adjusted counts ztilde, (D - 1, b)
+    (:func:`multinomial._bound_terms` at the block's expansion points).
+    weights and ztildes hold the rows' instances only. Every instance's
+    Hessian is a weighted sum of the same few symmetric K x K matrices,
 
         H_i = sum_j w_ij (cov_j + mean_j mean_j^T) + sum_b N_ib base_b,
 
-    so one GEMM of the stacked matrices against the block's weights
-    writes H in the (K, K, b) layout that :func:`solve_scores_batch`
-    factors. H is returned as a (b, K, K) view of it (H[i] is instance
-    i's matrix), rho as (b, K). Fitting and scoring both solve this
-    system, and the fit reads its objective off it.
+    so one GEMM of those matrices, packed to their K(K+1)/2 upper-triangle
+    entries (:func:`gaussian._pack`), against the block's weights gives
+    every H_i packed. It is unpacked once into the (K, K, b) layout that
+    :func:`solve_scores_batch` factors, and H is returned as a (b, K, K)
+    view of that array (H[i] is instance i's matrix), rho as (b, K).
+    Fitting and scoring both solve this system, and the fit reads its
+    objective off it.
     """
     mats, cols = [], []
     rho = 0.0
     if data.gaussian is not None:
         w, wy = weights
         moments, rho = gmod.gaussian_score_terms(gauss_state, wy)
-        mats.append(moments.reshape(len(moments), -1))
+        mats.append(moments)
         cols.append(w)
     for state, block, ztilde in zip(cat_states, data.categoricals, ztildes):
-        base, rm = mmod.multinomial_score_terms(state, ztilde)
-        mats.append(base.reshape(1, -1))
+        mats.append(gmod._pack(mmod.score_base(state))[None])
         cols.append(block.trials[rows, None])
-        rho = rho + rm
-    k = rho.shape[1]
+        rho = rho + (state.loading_mean @ ztilde).T
     stacked, weight = np.concatenate(mats), np.concatenate(cols, axis=1)
-    H = (stacked.T @ weight.T).reshape(k, k, -1).transpose(2, 0, 1)
+    H = gmod._unpack(stacked.T @ weight.T).transpose(2, 0, 1)
     return H, rho
 
 

@@ -46,7 +46,7 @@ class CurvatureMatrix:
         lse(psi) + (eta - psi)^T grad lse(psi) + (eta - psi)^T A (eta - psi) / 2
 
     is >= lse(eta), with equality at eta = psi. The fit forms it through
-    :func:`multinomial.adjusted_counts`.
+    :func:`multinomial._bound_terms`.
     The matrix is (D-1) x (D-1) but is never materialized outside test
     oracles: products use the rank-structured form directly.
     """

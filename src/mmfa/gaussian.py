@@ -10,6 +10,7 @@ scoring pass one block of instances at a time
 (:func:`engine._instance_blocks`).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,19 +61,57 @@ def _weighted(sigma2, Y, mask):
     return w, w * Y
 
 
+@functools.cache
+def _triu(k):
+    """Row and column indices of the K(K+1)/2 entries on and above the
+    diagonal of a K x K matrix, row by row: the column order of every
+    packed symmetric K x K kernel (Magnus & Neudecker's half-vectorization).
+    Also the weights, 1 on the diagonal and 2 off it, that :func:`_pack`
+    applies when doubled."""
+    i, j = np.triu_indices(k)
+    return i, j, np.where(i == j, 1.0, 2.0)
+
+
+def _pack(S, doubled=False):
+    """The upper triangles of the symmetric matrices S (..., K, K), shape
+    (..., K(K+1)/2). doubled multiplies the off-diagonal entries by 2, so
+    that a packed row of :func:`_khatri_rao` contracts against it to the
+    full quadratic form c^T S c."""
+    i, j, weights = _triu(S.shape[-1])
+    packed = S[..., i, j]
+    if doubled:
+        packed *= weights
+    return packed
+
+
+def _unpack(packed):
+    """The symmetric matrices (K, K, n) whose upper triangles are the n
+    columns of packed (K(K+1)/2, n), in the layout of :func:`_pack`."""
+    k = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
+    i, j, _ = _triu(k)
+    full = np.empty((k, k, packed.shape[1]))
+    full[i, j] = packed
+    full[j, i] = packed
+    return full
+
+
 def _khatri_rao(C):
-    """The rows c_i (x) c_i of the instances of C (K, b), shape (b, K^2):
-    row i holds C[k, i] * C[l, i] at k*K + l, so one GEMM contracts both
-    score factors of a K^2 b D1 sum."""
-    part = C.T
-    return (part[:, :, None] * part[:, None, :]).reshape(-1, C.shape[0] ** 2)
+    """The packed rows of c_i c_i^T for the instances of C (K, b), shape
+    (b, K(K+1)/2): row i holds C[k, i] * C[l, i] for k <= l in the order
+    of :func:`_triu`. One GEMM against them contracts both score factors
+    of a sum over instances and features, on half the K^2 columns. They
+    are built as products of whole rows of C, into a transposed view of a
+    C-ordered array: gathering columns of C.T instead takes up to 9 times
+    as long at K=10."""
+    i, j, _ = _triu(C.shape[0])
+    C = np.ascontiguousarray(C)
+    return (C[i] * C[j]).T
 
 
 def _quadratic_form(C, cov):
     """c_i^T cov_j c_i for every instance i of C (K, b) and feature j,
     shape (b, D1)."""
-    d1, k, _ = cov.shape
-    return _khatri_rao(C) @ cov.reshape(d1, k * k).T
+    return _khatri_rao(C) @ _pack(cov, doubled=True).T
 
 
 def _cholesky(matrices):
@@ -87,26 +126,28 @@ def _cholesky(matrices):
 
 def _e_step_sums(C, w, wy):
     """The sums the loading posteriors read, over the instances of C
-    (K, b) with weights (w, w * Y) from :func:`_weighted`: the flattened
-    precision sums sum_i w_ij c_i c_i^T, (K^2, D1), from one GEMM against
-    :func:`_khatri_rao`, and C (w * Y), (K, D1). A fit adds them up over
-    its blocks of instances and finishes them with :func:`_e_step_finish`."""
+    (K, b) with weights (w, w * Y) from :func:`_weighted`: the packed
+    precision sums sum_i w_ij c_i c_i^T, (K(K+1)/2, D1), from one GEMM
+    against :func:`_khatri_rao`, and C (w * Y), (K, D1). A fit adds them
+    up over its blocks of instances and finishes them with
+    :func:`_e_step_finish`."""
     return _khatri_rao(C).T @ w, C @ wy
 
 
-def _e_step_finish(prec_flat, rhs):
+def _e_step_finish(prec_packed, rhs):
     """Exact loading posteriors from the sums of :func:`_e_step_sums`.
 
     Feature j's posterior has precision C diag(w_j) C^T + I, with w_j the
     per-entry precisions 1 / sigma2 (0 where hidden), covariance its
-    inverse and mean cov_j C (w_j * y_j). The precisions are symmetric
-    positive definite by construction and are factored by one batched
-    Cholesky call, L_j L_j^T, giving cov_j = L_j^-T L_j^-1. A precision
-    that is not finite or not positive definite raises NumericalError
-    naming the first such feature. Returns a :class:`GaussianState`.
+    inverse and mean cov_j C (w_j * y_j). The packed sums are unpacked
+    once; the precisions are symmetric positive definite by construction
+    and are factored by one batched Cholesky call, L_j L_j^T, giving
+    cov_j = L_j^-T L_j^-1. A precision that is not finite or not positive
+    definite raises NumericalError naming the first such feature. Returns
+    a :class:`GaussianState`.
     """
-    k, d1 = rhs.shape
-    prec = prec_flat.T.reshape(d1, k, k) + np.eye(k)
+    k = rhs.shape[0]
+    prec = _unpack(prec_packed).transpose(2, 0, 1) + np.eye(k)
     chol = _cholesky(prec)
     if chol is None:
         j = next((j for j, m in enumerate(prec) if _cholesky(m) is None), None)
@@ -120,7 +161,7 @@ def _e_step_finish(prec_flat, rhs):
 def gaussian_m_step(state, C, Y, mask, alpha, beta):
     """MAP update of the per-entry noise variances of the instances of
     C (K, b), which its caller passes one block at a time: the quadratic
-    forms take K^2 floats per instance.
+    forms take K(K+1)/2 floats per instance.
 
     For each observed entry the update is the posterior mode under the
     inverse-gamma prior:
@@ -152,9 +193,9 @@ def gaussian_m_step(state, C, Y, mask, alpha, beta):
 def gaussian_score_terms(state, wy):
     """The Gaussian block's part of the score quadratic programs.
 
-    Returns (moments, rho) with moments of shape (D1, K, K) and rho of
-    shape (P, K), for the instances whose weighted data wy = w * Y
-    (:func:`_weighted`) is given:
+    Returns (moments, rho) with moments of shape (D1, K(K+1)/2), packed
+    as by :func:`_pack`, and rho of shape (P, K), for the instances whose
+    weighted data wy = w * Y (:func:`_weighted`) is given:
 
         H_i   = sum_j w_ij moments_j,  moments_j = cov_j + mean_j mean_j^T
         rho_i = sum_j w_ij y_ij mean_j
@@ -163,8 +204,7 @@ def gaussian_score_terms(state, wy):
     where hidden). :func:`engine.score_system` forms H for a block of
     instances in one GEMM with every other block's terms.
     """
-    moments = state.cov + state.mean[:, :, None] * state.mean[:, None, :]
-    return moments, wy @ state.mean
+    return _pack(state.cov) + _khatri_rao(state.mean.T), wy @ state.mean
 
 
 def gaussian_entry_terms(sigma2, Y, mask, weights, alpha, beta):

@@ -10,6 +10,13 @@ covariance has the two-matrix structure
 
 so every update works in K x K space: nothing of size (D2-1)K is ever
 formed, and one EM sweep costs O(K^2 P + K P D2).
+
+A fit's blocks hold their per-instance category arrays category-first,
+(D2-1, b): the expansion points psi = loading_mean^T C, the adjusted
+counts and the bound's terms (:func:`_bound_terms`), so that every
+reduction over the categories adds contiguous rows of b instances. The
+public :func:`adjusted_counts` and :func:`psi_update`, and the
+expansion points a model stores, keep the (P, D2-1) layout.
 """
 
 import math
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .expfam import CurvatureMatrix, _shifted_exp
+from .expfam import CurvatureMatrix
 from .gaussian import _cholesky
 
 
@@ -116,14 +123,60 @@ def spd_solve(matrix, rhs, what="matrix"):
     return chol_inv.T @ (chol_inv @ rhs)
 
 
+def _bound_terms(counts, trials, psi, offsets=False):
+    """The quadratic bound's terms at expansion points psi, category-first.
+
+    counts and psi are (D-1, b) arrays of the non-pivot categories of b
+    instances and trials is (b,); any strides do, and the reductions over
+    categories add whole rows. Returns the adjusted counts
+
+        ztilde_i = z_i - N_i (softmax(psi_i) - A psi_i),
+
+    (D-1, b), and with offsets also the bound's remainder that does not
+    depend on the log-odds, lse(psi_i) - psi_i^T softmax(psi_i)
+    + psi_i^T A psi_i / 2, (b,): (ztilde, offset). With zero trials the
+    counts pass through. A non-finite psi raises ValueError. The one
+    (D-1, b) array it allocates becomes ztilde.
+    """
+    total = psi.sum(axis=0)
+    # a NaN or an infinity anywhere makes its column's sum non-finite
+    if not np.isfinite(total).all() and not np.isfinite(psi).all():
+        raise ValueError("eta contains non-finite entries")
+    m = psi.max(axis=0)
+    np.maximum(m, 0.0, out=m)  # the pivot's log-odds are 0
+    work = np.subtract(psi, m)
+    np.exp(work, out=work)
+    denom = work.sum(axis=0)
+    denom += np.exp(-m)
+    work /= denom  # softmax(psi)
+    if offsets:
+        psi_probs = np.einsum("db,db->b", psi, work)
+    # 2 (softmax(psi) - A psi) = 2 softmax(psi) - psi + sum(psi) / D
+    work *= 2.0
+    work -= psi
+    total /= psi.shape[0] + 1.0
+    work += total
+    if offsets:
+        # psi^T (softmax(psi) - A psi / 2) = psi^T (softmax(psi) + work / 2) / 2
+        offset = np.log(denom)
+        offset += m
+        offset -= 0.5 * psi_probs
+        offset -= 0.25 * np.einsum("db,db->b", psi, work)
+    work *= 0.5 * trials
+    ztilde = np.subtract(counts, work, out=work)
+    return (ztilde, offset) if offsets else ztilde
+
+
 def adjusted_counts(counts, trials, expansion, n_categories, return_offset=False):
     """Counts shifted by the expansion-point terms of the quadratic bound.
 
     ztilde_i = z_i - N_i (softmax(psi_i) - A psi_i), restricted to the
-    non-pivot categories. With zero trials the counts pass through. With
+    non-pivot categories, for counts and expansion points psi of shape
+    (P, D-1). With zero trials the counts pass through. With
     return_offset, also returns the bound's remainder that does not
     depend on the log-odds, lse(psi_i) - psi_i^T softmax(psi_i)
-    + psi_i^T A psi_i / 2, from the same softmax: (ztilde, offset).
+    + psi_i^T A psi_i / 2, from the same softmax: (ztilde, offset). The
+    fit computes the same terms category-first (:func:`_bound_terms`).
     """
     counts = np.asarray(counts, dtype=float)
     expansion = np.asarray(expansion, dtype=float)
@@ -132,26 +185,21 @@ def adjusted_counts(counts, trials, expansion, n_categories, return_offset=False
         raise DimensionMismatch(
             f"counts {counts.shape} vs expansion points {expansion.shape}"
         )
-    m, probs, denom = _shifted_exp(expansion)
-    probs /= denom
-    curved = CurvatureMatrix(n_categories).apply(expansion)
-    ztilde = probs - curved
-    ztilde *= trials[:, None]
-    np.subtract(counts, ztilde, out=ztilde)
-    if not return_offset:
-        return ztilde
-    offset = (m + np.log(denom))[:, 0] - np.sum(
-        expansion * (probs - 0.5 * curved), axis=-1
-    )
-    return ztilde, offset
+    if expansion.shape[-1] != CurvatureMatrix(n_categories).dim:
+        raise DimensionMismatch(
+            f"vector length {expansion.shape[-1]} does not match {n_categories - 1}"
+        )
+    terms = _bound_terms(counts.T, trials, expansion.T, return_offset)
+    return (terms[0].T, terms[1]) if return_offset else terms.T
 
 
 def _e_step_sums(C, trials, ztilde):
     """The sums the category loading posterior reads, over the instances
-    of C (K, b): C diag(trials) C^T and C ztilde, with ztilde the
-    adjusted counts of :func:`adjusted_counts`. A fit adds them up over
-    its blocks of instances and finishes them with :func:`_e_step_finish`."""
-    return (C * trials) @ C.T, C @ ztilde
+    of C (K, b): C diag(trials) C^T and C ztilde^T, with ztilde the
+    category-first adjusted counts (D-1, b) of :func:`_bound_terms`. A fit
+    adds them up over its blocks of instances and finishes them with
+    :func:`_e_step_finish`."""
+    return (C * trials) @ C.T, C @ ztilde.T
 
 
 def _e_step_finish(gram, cz, n_categories):
@@ -197,7 +245,8 @@ def psi_update(loading_mean, C):
     For Gaussian-distributed log-odds with mean m, the expected bound
     around psi exceeds the expected bound around m by the (nonnegative)
     bound gap evaluated at m, so the posterior-mean log-odds are the
-    exact minimizer.
+    exact minimizer. Returns (P, D-1), the layout a model stores; the
+    fit's blocks take the same product category-first, loading_mean^T C.
     """
     return np.asarray(C).T @ np.asarray(loading_mean)
 
@@ -219,17 +268,6 @@ def score_base(state):
         + 0.5 * phi @ phi.T
         - np.outer(phi_rows, phi_rows) / (2.0 * d2)
     )
-
-
-def multinomial_score_terms(state, ztilde):
-    """The block's part of the score quadratic programs: (base, rho).
-
-    H_i = trials_i * base with base from :func:`score_base`, and
-    rho_i = loading_mean ztilde_i, for the instances whose adjusted
-    counts are given. :func:`engine.score_system` forms H for a block of
-    instances in one GEMM with every other block's terms.
-    """
-    return score_base(state), np.asarray(ztilde, dtype=float) @ state.loading_mean.T
 
 
 def _log_factorial(x):
@@ -273,20 +311,19 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
     E_q[ z^T eta - N * bound(eta; psi) + log multinomial coefficient ]
     under eta = loadings^T c with the current Gaussian posterior. This is
     the (lower-bound) term reported by predictive evaluation; it equals
-    rho_i^T c_i - c_i^T H_i c_i / 2 with (H, rho) from
-    :func:`multinomial_score_terms`, plus the offset and coefficient terms.
+    rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * :func:`score_base`
+    and rho_i = loading_mean ztilde_i, plus the offset and coefficient
+    terms.
     """
     counts = np.asarray(counts, dtype=float)
     trials = np.asarray(trials, dtype=float)
     expansion = np.asarray(expansion, dtype=float)
     C = np.asarray(C, dtype=float)
 
-    ztilde, offset = adjusted_counts(
-        counts, trials, expansion, state.n_categories, return_offset=True
-    )
+    ztilde, offset = _bound_terms(counts.T, trials, expansion.T, offsets=True)
     base = score_base(state)
     quad = np.sum(C * (base @ C), axis=0)  # einsum would stage K^2 P terms
-    linear = np.sum((ztilde @ state.loading_mean.T) * C.T, axis=1)
+    linear = np.sum((state.loading_mean @ ztilde) * C, axis=0)
     return (
         log_multinomial_coefficient(counts, trials)
         + linear
@@ -301,9 +338,9 @@ def multinomial_posterior_terms(state):
     The full contribution is the expected bounded log-likelihood plus the
     loading prior cross-entropy and posterior entropy, all evaluated with
     the structured covariance. Its score-dependent part is
-    rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * base from
-    :func:`multinomial_score_terms`, and each instance adds
-    -trials_i * offset_i with the bound offset of :func:`adjusted_counts`
+    rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * :func:`score_base`
+    and rho_i = loading_mean ztilde_i, and each instance adds
+    -trials_i * offset_i with the bound offset of :func:`_bound_terms`
     and the data-only :func:`log_multinomial_coefficient`; this returns
     the prior cross-entropy and the posterior entropy.
     """

@@ -98,7 +98,7 @@ def test_a2_structured_posterior_equals_dense():
         ).astype(float)
         psi = 0.5 * rng.standard_normal((p, d2 - 1))
         ztilde = adjusted_counts(z_full[:, :-1], trials, psi, d2)
-        state = mmod._e_step_finish(*mmod._e_step_sums(C, trials, ztilde), d2)
+        state = mmod._e_step_finish(*mmod._e_step_sums(C, trials, ztilde.T), d2)
 
         A = CurvatureMatrix(d2).dense()
         dim = (d2 - 1) * k

@@ -456,14 +456,15 @@ class TestObjectiveFromScoreSystem:
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_adjusted_counts_once_per_block_per_iteration(self, monkeypatch):
+        # counts the bound kernel the fit calls for its adjusted counts
         calls = []
-        original = mmod.adjusted_counts
+        original = mmod._bound_terms
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mmod, "adjusted_counts", counting)
+        monkeypatch.setattr(mmod, "_bound_terms", counting)
         data = objective_datasets()["masked-two-block"]
         model = fit(data, ModelSpec(n_factors=2, max_iters=7, seed=1))
         assert model.iterations_run == 7

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import multivariate_normal, norm
 
-from mmfa import HeteroDataset, NumericalError, engine
+from mmfa import HeteroDataset, MultinomialData, NumericalError, engine
+from mmfa import multinomial as mmod
 from mmfa import gaussian as gmod
 from mmfa.engine import score_system
 from mmfa.gaussian import (
@@ -325,3 +326,62 @@ class TestKernelsMatchReference:
         if masked_rows:
             np.testing.assert_array_equal(H[1::4], 0.0)
             np.testing.assert_array_equal(rho[1::4], 0.0)
+
+
+class TestPackedLayout:
+    """The packed K(K+1)/2-column kernels against their dense K x K forms:
+    the precision sums and the posteriors finished from them, the M-step's
+    quadratic form and the score system of a Gaussian block with two
+    categorical blocks, H_i = sum_j w_ij (cov_j + mean_j mean_j^T)
+    + sum_b N_ib base_b."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_matches_dense(self, k, masked):
+        rng = np.random.default_rng(10 * k + masked)
+        p, d1 = 37, 6
+        C = rng.standard_normal((k, p))
+        sigma2 = rng.uniform(0.2, 3.0, (p, d1))
+        Y = rng.standard_normal((p, d1))
+        mask = rng.random((p, d1)) < 0.7 if masked else np.ones((p, d1), bool)
+        data = HeteroDataset(
+            gaussian=Y,
+            mask=mask if masked else None,
+            categoricals=[
+                MultinomialData.from_full_counts(rng.integers(0, 4, (p, d2)))
+                for d2 in (2, 5)
+            ],
+        )
+        weights = gmod._weighted(sigma2, gmod._observed(Y, data.mask), data.mask)
+        w = weights[0]
+
+        prec_packed, rhs = gmod._e_step_sums(C, *weights)
+        assert prec_packed.shape == (k * (k + 1) // 2, d1)
+        assert_rel_close(
+            gmod._unpack(prec_packed).transpose(2, 0, 1),
+            np.einsum("kp,pj,lp->jkl", C, w, C),
+        )
+        state = gmod._e_step_finish(prec_packed, rhs)
+        mean, cov = reference_e_step(C, sigma2, Y, mask)
+        assert_rel_close(state.mean, mean)
+        assert_rel_close(state.cov, cov)
+
+        assert_rel_close(gmod._quadratic_form(C, cov), reference_quadratic_form(C, cov))
+
+        cat_states, ztildes = [], []
+        for block in data.categoricals:
+            ztilde = rng.standard_normal((block.n_categories - 1, p))
+            cat_states.append(mmod._e_step_finish(
+                *mmod._e_step_sums(C, block.trials, ztilde), block.n_categories
+            ))
+            ztildes.append(ztilde)
+        H, rho = score_system(data, state, weights, cat_states, ztildes)
+        want_H = reference_score_H(state, sigma2, mask)
+        want_rho = weights[1] @ state.mean
+        for block, cat, ztilde in zip(data.categoricals, cat_states, ztildes):
+            want_H += block.trials[:, None, None] * mmod.score_base(cat)
+            want_rho += ztilde.T @ cat.loading_mean.T
+        assert H.shape == (p, k, k)
+        np.testing.assert_array_equal(H, H.transpose(0, 2, 1))
+        assert_rel_close(H, want_H)
+        assert_rel_close(rho, want_rho)

@@ -159,7 +159,7 @@ class TestSharedScoreSystem:
             [
                 adjusted_counts(
                     block.counts, block.trials, state.expansion, block.n_categories
-                )
+                ).T  # category-first, as the fit passes it
                 for block, state in zip(data.categoricals, model.categoricals)
             ],
         )

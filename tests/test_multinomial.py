@@ -16,19 +16,21 @@ from scipy.special import gammaln, logsumexp
 
 from mmfa import (
     CurvatureMatrix,
+    HeteroDataset,
     MultinomialData,
     NumericalError,
     adjusted_counts,
     psi_update,
     softmax_pivot,
 )
+from mmfa import multinomial as mmod
+from mmfa.engine import score_system
 from mmfa.multinomial import (
     _e_step_finish,
     _e_step_sums,
     _log_factorial,
     expected_bound_loglik,
     log_multinomial_coefficient,
-    multinomial_score_terms as block_score_terms,
     score_base,
     spd_solve,
 )
@@ -36,8 +38,8 @@ from mmfa.multinomial import (
 
 def e_step(C, trials, ztilde, d2):
     """The category loading posterior as a fit finishes it from one
-    block's sums."""
-    return _e_step_finish(*_e_step_sums(C, trials, ztilde), d2)
+    block's sums; ztilde (P, D2-1) as adjusted_counts returns it."""
+    return _e_step_finish(*_e_step_sums(C, trials, ztilde.T), d2)
 
 
 def lse(eta):
@@ -48,9 +50,13 @@ def lse(eta):
 
 
 def multinomial_score_terms(state, ztilde, trials):
-    """(H, rho) stacks of one block: H_i = trials_i * base."""
-    base, rho = block_score_terms(state, ztilde)
-    return np.asarray(trials, dtype=float)[:, None, None] * base, rho
+    """(H, rho) stacks of one block, through engine.score_system on a
+    dataset of that block alone: H_i = trials_i * base."""
+    block = MultinomialData(
+        counts=np.zeros_like(ztilde), trials=trials, n_categories=state.n_categories
+    )
+    return score_system(HeteroDataset(categoricals=[block]), None, None, [state],
+                        [ztilde.T])
 
 
 def random_instance(rng, k, p, d2, max_trials=6):
@@ -128,6 +134,71 @@ class TestAdjustedCounts:
             probs = softmax_pivot(psi[i])[:-1]
             expected = lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i])
             assert offset[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+class TestBoundKernel:
+    """The category-first kernel the fit calls (_bound_terms) against the
+    bound's formula taken instance by instance, and adjusted_counts, its
+    (P, D2-1) wrapper, against the same formula."""
+
+    @staticmethod
+    def reference(counts, trials, psi, d2):
+        curv = CurvatureMatrix(d2)
+        ztilde, offset = [], []
+        for i in range(len(psi)):
+            probs = softmax_pivot(psi[i])[:-1]
+            ztilde.append(counts[i] - trials[i] * (probs - curv.apply(psi[i])))
+            offset.append(lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i]))
+        return np.array(ztilde), np.array(offset)
+
+    @pytest.mark.parametrize(
+        "d2, scale, zero_trials",
+        [(2, 0.5, False), (6, 0.5, True), (6, 700.0, False), (24, 3.0, False)],
+        ids=["binary", "zero-trials", "psi-700", "wide"],
+    )
+    def test_matches_instance_formula(self, d2, scale, zero_trials):
+        rng = np.random.default_rng(d2)
+        _, trials, counts, _ = random_instance(rng, 2, 11, d2)
+        if zero_trials:
+            trials[:] = 0.0
+            counts[:] = 0.0
+        psi = scale * rng.uniform(-1.0, 1.0, size=(11, d2 - 1))
+        psi[0] = scale  # every log-odds at +scale
+        psi[1] = -scale  # the pivot the largest
+        want_z, want_offset = self.reference(counts, trials, psi, d2)
+        tol = 1e-13 * max(1.0, scale)
+
+        ztilde, offset = mmod._bound_terms(
+            np.ascontiguousarray(counts.T), trials, np.ascontiguousarray(psi.T),
+            offsets=True,
+        )
+        assert ztilde.shape == (d2 - 1, 11)
+        np.testing.assert_allclose(ztilde.T, want_z, rtol=0, atol=tol)
+        np.testing.assert_allclose(offset, want_offset, rtol=0, atol=tol)
+        if zero_trials:
+            np.testing.assert_array_equal(ztilde, 0.0)
+
+        got_z, got_offset = adjusted_counts(counts, trials, psi, d2, return_offset=True)
+        np.testing.assert_allclose(got_z, want_z, rtol=0, atol=tol)
+        np.testing.assert_allclose(got_offset, want_offset, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_psi_raises(self, bad):
+        psi = np.zeros((4, 3))
+        psi[2, 1] = bad
+        counts, trials = np.zeros((4, 3)), np.ones(4)
+        with pytest.raises(ValueError, match="non-finite"):
+            adjusted_counts(counts, trials, psi, 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            mmod._bound_terms(counts.T, trials, psi.T, offsets=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_finite_psi_whose_sum_overflows_is_not_rejected(self):
+        # the finiteness screen reads the column sums; a finite column
+        # whose sum overflows falls through to the entrywise check
+        psi = np.array([[1e308], [1e308]])
+        mmod._bound_terms(np.zeros((2, 1)), np.ones(1), psi, offsets=True)
 
 
 class TestEStep:
@@ -420,21 +491,21 @@ class TestLogFactorial:
 class TestScaling:
     @staticmethod
     def _time_ratio(base, double, reps=5):
-        # median E-step time (the sums and the finish a fit runs) at the
-        # doubled size over that at the base size; the two sizes'
-        # repetitions alternate, so a change in host load between them
-        # moves both medians alike
+        # median E-step time (the sums and the finish a fit runs, on
+        # category-first adjusted counts) at the doubled size over that at
+        # the base size; the two sizes' repetitions alternate, so a change
+        # in host load between them moves both medians alike
         args = []
         for p, d2 in (base, double):
             rng = np.random.default_rng(0)
             k = 3
             C = rng.standard_normal((k, p))
-            args.append((C, np.ones(p), rng.standard_normal((p, d2 - 1)), d2))
+            args.append((C, np.ones(p), rng.standard_normal((d2 - 1, p)), d2))
         times = ([], [])
         for _ in range(reps):
-            for arg, record in zip(args, times):
+            for (C, trials, ztilde, d2), record in zip(args, times):
                 start = time.perf_counter()
-                e_step(*arg)
+                _e_step_finish(*_e_step_sums(C, trials, ztilde), d2)
                 record.append(time.perf_counter() - start)
         return np.median(times[1]) / np.median(times[0])
 
