@@ -200,7 +200,7 @@ class _Block:
 
 
 def _local_step(data, spec, gauss_state, cat_states, scores, rows,
-                sigma2=None, psis=None, offsets=False):
+                sigma2=None, psis=None, offsets=False, Y=None, bases=None):
     """The local step of the instances in rows, up to its solve.
 
     scores (K, b) are the block's current scores. Its noise variances are
@@ -212,12 +212,15 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     :func:`multinomial._bound_terms`) and the score system
     (:func:`score_system`). Fitting and scoring both take this step with
     the loading posteriors held fixed, and each solves the system itself.
+    A caller that takes many steps on the same rows may pass what depends
+    only on the data and the model: Y, the rows' Gaussian data from
+    :func:`gaussian._observed`, and bases, the model's :func:`_score_bases`.
     Returns a :class:`_Block`.
     """
     blk = _Block(rows)
     if data.gaussian is not None:
         blk.mask = None if data.mask is None else data.mask[rows]
-        blk.Y = gmod._observed(data.gaussian[rows], blk.mask)
+        blk.Y = gmod._observed(data.gaussian[rows], blk.mask) if Y is None else Y
         if sigma2 is None:
             sigma2 = gmod.gaussian_m_step(
                 gauss_state, scores, blk.Y, blk.mask, spec.alpha, spec.beta
@@ -237,7 +240,7 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     else:
         blk.ztildes = adjusted
     blk.H, blk.rho = score_system(
-        data, gauss_state, blk.weights, cat_states, blk.ztildes, rows
+        data, gauss_state, blk.weights, cat_states, blk.ztildes, rows, bases
     )
     return blk
 
@@ -270,12 +273,14 @@ def _walk(data, model, log_coefficient, update):
     spec, C, sigma2 = model.spec, model.scores, model.noise_variance
     gauss_state, cat_states = model.gaussian, model.categoricals
     lam = spec.effective_ridge
+    bases = _score_bases(cat_states)
 
     def step(rows):
         scores = C[:, rows]
         if update:
             blk = _local_step(
-                data, spec, gauss_state, cat_states, scores, rows, offsets=True
+                data, spec, gauss_state, cat_states, scores, rows, offsets=True,
+                bases=bases,
             )
             if sigma2 is not None:
                 sigma2[rows] = blk.sigma2
@@ -293,7 +298,7 @@ def _walk(data, model, log_coefficient, update):
                 data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=None if sigma2 is None else sigma2[rows],
                 psis=[state.expansion[rows].T for state in cat_states],
-                offsets=True,
+                offsets=True, bases=bases,
             )
             c = scores.T
         Hc = np.einsum("pkl,pl->pk", blk.H, c)
@@ -409,40 +414,54 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
     if mode == "nonnegative":
         return _nonneg_qp_batch(H, rho, warm_start)
     lam = ridge_weight if mode == "ridge" else 0.0
-    L = _cholesky_batch(H, lam)
+    return _substitute(_cholesky_batch(H, lam), rho.T).T
+
+
+def _substitute(L, rhs):
+    """x (K, P) with L_i L_i^T x_i = rhs_i, for factors L (K, K, P) from
+    :func:`_cholesky_batch` and rhs (K, P): forward, then back
+    substitution, each on all instances at once."""
     k = L.shape[0]
-    x = np.array(rho.T)  # (K, P)
+    x = np.array(rhs)
     for j in range(k):
         x[j] -= np.einsum("mp,mp->p", L[j, :j], x[:j])
         x[j] /= L[j, j]
     for j in reversed(range(k)):
         x[j] -= np.einsum("mp,mp->p", L[j + 1:, j], x[j + 1:])
         x[j] /= L[j, j]
-    return x.T
+    return x
 
 
-def _cholesky_batch(H, lam):
+def _cholesky_batch(H, lam, flag=False):
     """Lower Cholesky factors of H_i + lam I in a (K, K, P) array.
 
     One loop over the K columns; each step works on all instances at
     once along the last axis. The factor fills the lower triangle; the
-    strict upper triangle keeps the entries of H and is never read.
+    strict upper triangle keeps the entries of H and is never read. A
+    pivot that is not positive raises NumericalError or, with flag, marks
+    its instance: (L, ok) is returned, and the factor of an instance with
+    ok False is not to be used.
     """
     k = H.shape[1]
     L = np.array(H.transpose(1, 2, 0), order="C")
+    ok = np.ones(L.shape[2], dtype=bool)
     for j in range(k):
         done = L[j, :j]
         pivot = L[j, j] + lam - np.einsum("mp,mp->p", done, done)
-        if not (np.isfinite(pivot) & (pivot > 0)).all():
-            raise NumericalError(
-                "singular score system; add ridge regularization "
-                "(score_update='ridge')"
-            )
+        good = np.isfinite(pivot) & (pivot > 0)
+        if not good.all():
+            if not flag:
+                raise NumericalError(
+                    "singular score system; add ridge regularization "
+                    "(score_update='ridge')"
+                )
+            ok &= good
+            pivot[~good] = 1.0  # the flagged instances' columns go on finite
         L[j, j] = np.sqrt(pivot)
         below = L[j + 1:, j]
         below -= np.einsum("imp,mp->ip", L[j + 1:, :j], done)
         below /= L[j, j]
-    return L
+    return (L, ok) if flag else L
 
 
 def _nonneg_qp_batch(H, rho, warm_start):
@@ -484,8 +503,15 @@ def _nonneg_qp_batch(H, rho, warm_start):
     raise NumericalError("nonnegative score solver failed to reach KKT tolerance")
 
 
+def _score_bases(cat_states):
+    """Each categorical block's :func:`multinomial.score_base`, packed
+    (:func:`gaussian._pack`), one row per block: the model-only part of
+    the score systems' categorical terms."""
+    return [gmod._pack(mmod.score_base(state))[None] for state in cat_states]
+
+
 def score_system(data, gauss_state, weights, cat_states, ztildes,
-                 rows=slice(None)):
+                 rows=slice(None), bases=None):
     """Score quadratic programs (H, rho) of the instances in rows.
 
     Sums the Gaussian terms at weights (w, w * Y) (:func:`gaussian._weighted`)
@@ -503,8 +529,11 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
     :func:`solve_scores_batch` factors, and H is returned as a (b, K, K)
     view of that array (H[i] is instance i's matrix), rho as (b, K).
     Fitting and scoring both solve this system, and the fit reads its
-    objective off it.
+    objective off it. bases, if given, are the model's
+    :func:`_score_bases`, which a caller building many systems makes once.
     """
+    if bases is None:
+        bases = _score_bases(cat_states)
     mats, cols = [], []
     rho = 0.0
     if data.gaussian is not None:
@@ -513,10 +542,9 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
         mats.append(moments)
         cols.append(w)
     for state, block, ztilde in zip(cat_states, data.categoricals, ztildes):
-        mats.append(gmod._pack(mmod.score_base(state))[None])
         cols.append(block.trials[rows, None])
         rho = rho + (state.loading_mean @ ztilde).T
-    stacked, weight = np.concatenate(mats), np.concatenate(cols, axis=1)
+    stacked, weight = np.concatenate(mats + bases), np.concatenate(cols, axis=1)
     H = gmod._unpack(stacked.T @ weight.T).transpose(2, 0, 1)
     return H, rho
 

@@ -123,6 +123,23 @@ def spd_solve(matrix, rhs, what="matrix"):
     return chol_inv.T @ (chol_inv @ rhs)
 
 
+def _softmax(psi):
+    """softmax(psi) over the non-pivot categories and lse(psi), for
+    expansion points psi (D-1, b) whose pivot log-odds are 0: (probs,
+    lse) of shapes (D-1, b) and (b,). probs is the one (D-1, b) array it
+    allocates."""
+    m = psi.max(axis=0)
+    np.maximum(m, 0.0, out=m)  # the pivot's log-odds are 0
+    probs = np.subtract(psi, m)
+    np.exp(probs, out=probs)
+    denom = probs.sum(axis=0)
+    denom += np.exp(-m)
+    probs /= denom
+    lse = np.log(denom)
+    lse += m
+    return probs, lse
+
+
 def _bound_terms(counts, trials, psi, offsets=False):
     """The quadratic bound's terms at expansion points psi, category-first.
 
@@ -142,13 +159,7 @@ def _bound_terms(counts, trials, psi, offsets=False):
     # a NaN or an infinity anywhere makes its column's sum non-finite
     if not np.isfinite(total).all() and not np.isfinite(psi).all():
         raise ValueError("eta contains non-finite entries")
-    m = psi.max(axis=0)
-    np.maximum(m, 0.0, out=m)  # the pivot's log-odds are 0
-    work = np.subtract(psi, m)
-    np.exp(work, out=work)
-    denom = work.sum(axis=0)
-    denom += np.exp(-m)
-    work /= denom  # softmax(psi)
+    work, lse = _softmax(psi)
     if offsets:
         psi_probs = np.einsum("db,db->b", psi, work)
     # 2 (softmax(psi) - A psi) = 2 softmax(psi) - psi + sum(psi) / D
@@ -158,8 +169,7 @@ def _bound_terms(counts, trials, psi, offsets=False):
     work += total
     if offsets:
         # psi^T (softmax(psi) - A psi / 2) = psi^T (softmax(psi) + work / 2) / 2
-        offset = np.log(denom)
-        offset += m
+        offset = lse
         offset -= 0.5 * psi_probs
         offset -= 0.25 * np.einsum("db,db->b", psi, work)
     work *= 0.5 * trials

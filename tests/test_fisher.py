@@ -2,6 +2,7 @@
 the conditional-Fisher oracle for the concentrated-prior regime, and the
 exact bound of the score-recovery experiment."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -362,6 +363,12 @@ class TestMseExperimentConfig:
     def test_rejects_out_of_range_value(self, field, value):
         with pytest.raises(ValueError, match=field):
             MseExperimentConfig(**{field: value})
+
+    def test_to_dict_equals_asdict_and_round_trips(self):
+        config = MseExperimentConfig(n_instances=7, noise_variance=2.5, seed=3)
+        doc = config.to_dict()
+        assert doc == dataclasses.asdict(config)
+        assert MseExperimentConfig.from_dict(doc) == config
 
     @pytest.mark.filterwarnings("ignore:n_factors=3 is not smaller")
     def test_rank_deficient_gaussian_block_reports_inf(self):

@@ -1,6 +1,8 @@
 """Inference-task tests: scoring, predictive likelihood, anomaly
 thresholding, imputation, category prediction, and recall."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ from mmfa import (
     score_dataset,
     score_instance,
 )
+from mmfa import engine
 from mmfa import gaussian as gmod
 from mmfa.engine import score_system, solve_scores_batch
 from mmfa.multinomial import adjusted_counts
-from mmfa.inference import anomaly_threshold, predict_gaussian
+from mmfa.inference import INNER_TOL, anomaly_threshold, predict_gaussian
 
 
 def fitted_bimodal(seed=0, p=60, tol=1e-12, max_iters=400):
@@ -168,7 +171,8 @@ class TestSharedScoreSystem:
         np.testing.assert_allclose(scores.T, model.scores, rtol=1e-12, atol=0)
 
     def test_score_dataset_matches_pinned_values(self, masked_two_blocks):
-        # pinned before fitting and scoring shared one score-system builder
+        # the converged scores, pinned when scoring took Newton steps; the
+        # MM iteration it replaced agrees to 3.2e-7 at 5000 steps
         data, model = masked_two_blocks
         assert model.objective_trace[-1] == pytest.approx(
             -1303.2102584267327, rel=1e-12
@@ -177,17 +181,146 @@ class TestSharedScoreSystem:
         np.testing.assert_allclose(
             C[:, :3],
             [
-                [1.1370792481709902, -1.5323385993169256, -0.3366071267605984],
-                [0.018675377192411115, -1.3920889631338371, -0.46054972328753535],
+                [1.1381590513507864, -1.547955409441338, -0.33660712676060195],
+                [0.018873250428674916, -1.3973135152771667, -0.4605497232875385],
             ],
             rtol=1e-12,
         )
         np.testing.assert_allclose(
             loglik[:3],
-            [-12.804203379372543, -6.999018587400083, -12.229745961478281],
+            [-12.804093986808816, -6.997451076727652, -12.229745961478283],
             rtol=1e-12,
         )
-        assert loglik.sum() == pytest.approx(-665.1188365230967, rel=1e-12)
+        assert loglik.sum() == pytest.approx(-664.9117663859611, rel=1e-12)
+
+
+def mm_scores(model, data, steps):
+    """Scores (K, P) after steps of the minorize-maximize iteration: the
+    score system at the prior-mode noise variances and zero scores, then
+    at the noise-variance M-step and expansion points of the last scores,
+    each solved."""
+    spec = model.spec
+    C = np.zeros((model.n_factors, data.n_instances))
+    for step in range(steps):
+        sigma2 = None
+        if step == 0 and data.gaussian is not None:
+            sigma2 = np.full(
+                data.gaussian.shape, gmod.prior_mode_variance(spec.alpha, spec.beta)
+            )
+        blk = engine._local_step(
+            data, spec, model.gaussian, model.categoricals, C, slice(None),
+            sigma2=sigma2,
+        )
+        C = solve_scores_batch(
+            blk.H, blk.rho, spec.score_update, spec.ridge_weight, warm_start=C.T
+        ).T
+    return C
+
+
+def profiled_objective(model, data, C):
+    """Each instance's surrogate objective at scores C (K, P), with its
+    noise variances and expansion points at their optima, up to terms
+    free of C."""
+    spec = model.spec
+    g = -0.5 * spec.effective_ridge * np.sum(C * C, axis=0)
+    if data.gaussian is not None:
+        state = model.gaussian
+        residual = data.gaussian - C.T @ state.mean.T
+        spread = np.einsum("kp,jkl,lp->pj", C, state.cov, C)
+        terms = np.log(np.square(residual) + spread + 2.0 / spec.beta)
+        g -= (spec.alpha + 1.5) * np.where(data.observed_mask(), terms, 0.0).sum(axis=1)
+    for state, block in zip(model.categoricals, data.categoricals):
+        psi = C.T @ state.loading_mean
+        lse = np.logaddexp.reduce(np.c_[psi, np.zeros(len(psi))], axis=1)
+        A = state.curvature().dense()
+        # trace of A times the loading covariance of the log-odds
+        spread = np.trace(A) * state.precision_inv + A.sum() * state.cross_cov
+        g += (
+            np.sum(block.counts * psi, axis=1) - block.trials * lse
+            - 0.5 * block.trials * np.einsum("kp,kl,lp->p", C, spread, C)
+        )
+    return g
+
+
+class TestConvergedScoring:
+    """score_dataset takes safeguarded Newton steps on each instance's
+    profiled objective."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        synth = sample_dataset(
+            GeneratorConfig(
+                n_factors=2, n_instances=60, n_gaussian=5, n_categories=(4, 3),
+                n_trials=6, noise_variance=0.5, missing_fraction=0.3, seed=12,
+            )
+        )
+        data = synth.dataset
+        gaussian = HeteroDataset(gaussian=data.gaussian, mask=data.mask)
+        categorical = HeteroDataset(categoricals=data.categoricals)
+        spec = ModelSpec(n_factors=2, max_iters=60, seed=3)
+        fits = {
+            name: (part, fit(part, spec))
+            for name, part in (
+                ("two-block", data), ("gaussian", gaussian),
+                ("categorical", categorical),
+            )
+        }
+        # a narrower noise prior, under which some Newton steps would lower
+        # the objective and some Newton matrices do not factor
+        fits["narrow-prior"] = (data, fit(data, replace(spec, beta=5.0)))
+        return fits
+
+    @pytest.mark.parametrize("name", ["two-block", "gaussian", "categorical"])
+    def test_matches_long_mm_iteration(self, fits, name):
+        data, model = fits[name]
+        C, _ = score_dataset(model, data)
+        np.testing.assert_allclose(C, mm_scores(model, data, 5000), rtol=0, atol=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:scoring stopped")
+    def test_profiled_objective_never_decreases(self, fits):
+        data, model = fits["narrow-prior"]
+        values = [
+            profiled_objective(model, data, score_dataset(model, data, max_inner=t)[0])
+            for t in range(1, 25)
+        ]
+        for before, after in zip(values, values[1:]):
+            assert (after >= before - 1e-12 * np.abs(before)).all()
+
+    @pytest.mark.filterwarnings("ignore:scoring stopped")
+    def test_unfactorable_newton_matrix_takes_mm_step(self):
+        # one factor, three features with unit loadings and residuals far
+        # above the prior's noise scale: at the first step's scores the
+        # Newton matrix w_j (1 - 2 w_j r_j^2 / (2 alpha + 3)) summed over j
+        # is negative
+        model = gaussian_point_model(np.ones((3, 1)), noise_variance=0.01)
+        data = HeteroDataset(gaussian=np.array([[3.0, 3.0, -2.0]]))
+        spec = model.spec
+        c = mm_scores(model, data, 1)[0, 0]
+        r = data.gaussian[0] - c
+        w = (2.0 * spec.alpha + 3.0) / (r**2 + 2.0 / spec.beta)
+        assert np.sum(w * (1.0 - 2.0 * w * r**2 / (2.0 * spec.alpha + 3.0))) < 0
+        C, _ = score_dataset(model, data, max_inner=2)
+        np.testing.assert_allclose(C, mm_scores(model, data, 2), rtol=1e-12)
+
+    def test_nonnegative_scores_are_nonnegative(self, fits):
+        data, _ = fits["two-block"]
+        model = fit(
+            data, ModelSpec(n_factors=2, score_update="nonnegative", max_iters=60, seed=3)
+        )
+        C, _ = score_dataset(model, data)
+        assert (C >= 0).all()
+
+    @pytest.mark.filterwarnings("ignore:scoring stopped")
+    def test_converged_instance_not_moved_by_later_steps(self, fits):
+        data, model = fits["two-block"]
+        final, _ = score_dataset(model, data)
+        iterates = [score_dataset(model, data, max_inner=t)[0] for t in range(1, 16)]
+        partial = 0
+        for before, after in zip(iterates, iterates[1:]):
+            done = np.abs(after - before).max(axis=0) < INNER_TOL
+            partial += 0 < done.sum() < data.n_instances
+            np.testing.assert_array_equal(final[:, done], after[:, done])
+        assert partial  # some steps ran with converged instances in the block
 
 
 class TestHiddenEntries:
