@@ -103,7 +103,9 @@ def _cmd_fit(args):
     trace_path = args.trace or (args.output + ".trace.csv")
     _emit_report(
         {"seed": args.seed, "converged": model.converged,
-         "iterations": model.iterations_run},
+         "iterations": model.iterations_run,
+         "extrapolations": model.extrapolations,
+         "rejected": model.extrapolations_rejected},
         ["iteration", "objective"],
         [(i, float(v)) for i, v in enumerate(model.objective_trace)],
         "csv",

@@ -20,16 +20,22 @@ One iteration runs, in order:
   global step reads.
 
 This module decides the blocking; the Gaussian and multinomial modules
-do per-block arithmetic only. A pass of several blocks runs them on a
-thread pool of one worker per usable core, with OpenBLAS held at one
-thread, and adds their results in block order (:func:`_blocks_in_order`),
-so results do not depend on the number of workers.
+do per-block arithmetic only. Every pass holds OpenBLAS at one thread; a
+pass of several blocks runs them on a thread pool of one worker per
+usable core and adds their results in block order
+(:func:`_blocks_in_order`), so results depend neither on the number of
+workers nor on OpenBLAS's own thread count.
 
 Every update is an exact coordinate-ascent step on the same surrogate
-objective, so the tracked objective never decreases. Beyond its outputs
-(scores, noise variances, expansion points, posteriors), a fit holds one
-block's working set per worker: no array of P D1 or K^2 P floats is made
-per iteration.
+objective. By default :func:`fit` runs these iterations, the EM map
+evaluations, in SQUAREM cycles: two iterations, then an extrapolation of
+the scores, log noise variances and expansion points along the two steps
+taken (:class:`_Squarem`), a pass for the sums at the extrapolated point
+and one iteration from there, kept only if its objective is no lower than
+the second iteration's. So the tracked objective never decreases. Beyond
+its outputs (scores, noise variances, expansion points, posteriors), a fit
+holds one block's working set per worker and a few (K, P) score arrays:
+no array of P D1 or K^2 P floats is made per iteration.
 """
 
 import contextlib
@@ -125,17 +131,17 @@ def _blocks_in_order(p, step):
 
     step(rows) returns (result, held): held is whatever the thread must
     keep referenced until it has built its next block (see run below).
-    A pass of more than one block runs the blocks on min(workers, blocks)
-    threads, workers being _WORKERS or else the usable cores: the calling
-    thread and a pool of the others, each with one block at a time in
-    flight. OpenBLAS is held at one thread for the pass: threads of both
+    A pass runs its blocks on min(workers, blocks) threads, workers being
+    _WORKERS or else the usable cores: the calling thread and a pool of
+    the others, each with one block at a time in flight. OpenBLAS is held
+    at one thread for every pass, a single block's too: threads of both
     kinds would compete for the cores, and its rounding would then depend
-    on the worker count. step may write only its own rows of shared
-    arrays; the caller reduces the results in the order they are yielded,
-    so its result does not depend on the worker count either. Where
-    OpenBLAS's thread count cannot be set, the blocks run one after
-    another on the calling thread. An exception from a block is raised
-    once the blocks in flight have finished.
+    on the worker count and on OPENBLAS_NUM_THREADS. step may write only
+    its own rows of shared arrays; the caller reduces the results in the
+    order they are yielded, so its result does not depend on the worker
+    count either. Where OpenBLAS's thread count cannot be set, the blocks
+    run one after another on the calling thread. An exception from a
+    block is raised once the blocks in flight have finished.
     """
     blocks = list(_instance_blocks(p))
     held = threading.local()
@@ -149,26 +155,28 @@ def _blocks_in_order(p, step):
         result, held.arrays = step(rows)
         return result
 
-    blas = _blas_threads() if len(blocks) > 1 else None
-    if blas is None:
-        for rows in blocks:
-            yield run(rows)
-        return
-    # imported here, not with the module: it imports logging, and a process
-    # whose passes are single blocks never needs it
-    from concurrent.futures import ThreadPoolExecutor
-
+    blas = _blas_threads()
     workers = min(_WORKERS or _usable_cores(), len(blocks))
-    with (_one_blas_thread(*blas),
-          ThreadPoolExecutor(max(workers - 1, 1), "mmfa-block") as pool):
-        # the calling thread takes the first block of each group of
-        # workers blocks and the pool the others; a pool thread starts at
-        # the first block submitted to it
-        for start in range(0, len(blocks), workers):
-            group = [pool.submit(run, rows) for rows in blocks[start + 1:start + workers]]
-            yield run(blocks[start])
-            for future in group:
-                yield future.result()
+    with _one_blas_thread(*blas) if blas else contextlib.nullcontext():
+        if blas is None or workers <= 1:
+            for rows in blocks:
+                yield run(rows)
+            return
+        # imported here, not with the module: it imports logging, and a
+        # process whose passes run on one thread never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1, "mmfa-block") as pool:
+            # the calling thread takes the first block of each group of
+            # workers blocks and the pool the others; a pool thread starts
+            # at the first block submitted to it
+            for start in range(0, len(blocks), workers):
+                group = [
+                    pool.submit(run, rows) for rows in blocks[start + 1:start + workers]
+                ]
+                yield run(blocks[start])
+                for future in group:
+                    yield future.result()
 
 
 def _prior_multinomial_state(n_categories, k, p):
@@ -262,7 +270,8 @@ def _walk(data, model, log_coefficient, update):
     (:func:`_log_coefficient` of data). The sums, at the same scores, are
     what :func:`_global_step` reads: the packed Gaussian precision sums
     and C (w * Y), then C diag(N) C^T and C ztilde^T per categorical
-    block.
+    block. They depend on the scores, noise variances and expansion points
+    alone.
 
     The blocks run through :func:`_blocks_in_order`, so on several
     threads at once. Each block writes only its own rows of the model's
@@ -549,32 +558,194 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
     return H, rho
 
 
+def _sum_sq(a):
+    """The sum of squares of a 2-D array, in an order that does not
+    depend on BLAS's thread count."""
+    return float(np.einsum("ij,ij->", a, a))
+
+
+class _Squarem:
+    """SQUAREM's record of a fit (Varadhan & Roland 2008, step length S3)
+    over theta = (scores, log noise variances, expansion points).
+
+    A map evaluation computes each block's noise variances and expansion
+    points from the scores it starts from and the loading posteriors it
+    has just finished, and reads no others. So an iterate's are fixed by
+    its source, those scores and posteriors, and are recomputed block by
+    block when the extrapolation needs them: the record of an iterate is
+    (scores, source scores, Gaussian state, categorical states), with
+    source scores None for the initial state (prior-mode variances,
+    psi = 0). Beyond the model a cycle holds a few (K, P) arrays, never a
+    copy of the (P, D1) noise variances or of the (P, D - 1) expansion
+    points.
+    """
+
+    def __init__(self, data, model):
+        self.data, self.model = data, model
+        self.prev = None  # the source scores of the model's state
+        self.records = []  # the cycle's theta_0 and theta_1
+
+    def evaluating(self):
+        """Record the model's state before a plain map evaluation, which
+        overwrites its scores."""
+        model = self.model
+        scores = model.scores.copy()
+        self.records.append((scores, self.prev, model.gaussian, model.categoricals))
+        self.prev = scores
+
+    def _recorded(self, record, rows, Y, mask):
+        """theta of a recorded iterate at the instances in rows, as new
+        arrays: scores (K, b), log noise variances (b, D1) and expansion
+        points (b, D - 1). Y and mask are the rows' Gaussian data from
+        :func:`gaussian._observed` and their mask."""
+        scores, prev, gauss, cats = record
+        spec = self.model.spec
+        theta = [np.array(scores[:, rows])]
+        b = theta[0].shape[1]
+        if Y is not None:
+            if prev is None:
+                sigma2 = np.full(Y.shape, gmod.prior_mode_variance(spec.alpha, spec.beta))
+            else:
+                sigma2 = gmod.gaussian_m_step(
+                    gauss, prev[:, rows], Y, mask, spec.alpha, spec.beta
+                )
+            theta.append(np.log(sigma2, out=sigma2))
+        for state in cats:
+            theta.append(
+                np.zeros((b, state.n_categories - 1)) if prev is None
+                else mmod.psi_update(state.loading_mean, prev[:, rows])
+            )
+        return theta
+
+    def _differences(self, rows, theta0, theta1):
+        """(r, v, theta_2) at the instances in rows, theta_2 the model's
+        state, read from its arrays."""
+        data, model = self.data, self.model
+        Y = mask = None
+        if data.gaussian is not None:
+            mask = None if data.mask is None else data.mask[rows]
+            Y = gmod._observed(data.gaussian[rows], mask)
+        r = self._recorded(theta1, rows, Y, mask)
+        v = self._recorded(theta0, rows, Y, mask)
+        now = [model.scores[:, rows]]
+        if model.noise_variance is not None:
+            now.append(np.log(model.noise_variance[rows]))
+        now += [state.expansion[rows] for state in model.categoricals]
+        for a, b, c in zip(v, r, now):
+            b -= a  # r = theta_1 - theta_0
+            a += b
+            a += b
+            np.subtract(c, a, out=a)  # v = theta_2 - theta_0 - 2 r
+        return r, v, now
+
+    def extrapolate(self, nonnegative):
+        """theta' = theta_0 - 2 a r + a^2 v, with r = theta_1 - theta_0,
+        v = theta_2 - 2 theta_1 + theta_0 and a = -max(1, |r| / |v|), for
+        the cycle's theta_0 and theta_1 and the model's state theta_2.
+
+        Two passes over the instance blocks: the first adds up |r|^2 and
+        |v|^2, each array's share in block order and then array by array,
+        so they do not depend on the number of workers; the second writes
+        theta' = theta_2 - 2 (1 + a) r + (a^2 - 1) v, scores clipped at 0
+        if nonnegative. theta''s noise variances and expansion points go
+        into the model's arrays, whose values a map evaluation does not
+        read, and its scores are returned as a new array. Returns None,
+        with the model's scores untouched, if a is -1, where theta' is
+        theta_2, or if theta' is not finite.
+        """
+        (theta0, theta1), self.records = self.records, []
+        model = self.model
+        p = model.n_instances
+
+        def norms(rows):
+            r, v, _ = self._differences(rows, theta0, theta1)
+            return [(_sum_sq(x), _sum_sq(y)) for x, y in zip(r, v)], None
+
+        totals = np.zeros((1 + (model.noise_variance is not None)
+                           + len(model.categoricals), 2))
+        for part in _blocks_in_order(p, norms):
+            totals += part
+        rr, vv = totals.sum(axis=0)
+        if not (vv > 0.0 and math.isfinite(rr) and math.isfinite(vv)):
+            return None
+        alpha = -max(1.0, math.sqrt(rr / vv))
+        if alpha == -1.0:
+            return None
+        scores = np.empty_like(model.scores)
+
+        def write(rows):
+            r, v, now = self._differences(rows, theta0, theta1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x, y, z in zip(r, v, now):
+                    y *= 0.5 * (1.0 - alpha)
+                    y += x
+                    y *= -2.0 * (1.0 + alpha)
+                    y += z  # theta' in v's arrays
+                new = iter(v)
+                c = next(new)
+                if nonnegative:
+                    np.maximum(c, 0.0, out=c)
+                scores[:, rows] = c
+                ok = np.isfinite(c).all()
+                if model.noise_variance is not None:
+                    sigma2 = np.exp(next(new))
+                    ok &= np.isfinite(sigma2).all() and (sigma2 > 0.0).all()
+                    model.noise_variance[rows] = sigma2
+                for state, psi in zip(model.categoricals, new):
+                    ok &= np.isfinite(psi).all()
+                    state.expansion[rows] = psi
+            return bool(ok), None
+
+        return scores if all(list(_blocks_in_order(p, write))) else None
+
+
 def fit(data, spec, callback=None):
     """Fit the factor model to a heterogeneous dataset.
 
-    Iterates until the relative change of the surrogate objective falls
-    below spec.tol or spec.max_iters is reached. An infinite tol runs
-    exactly one iteration and reports converged=False, which is useful
-    for smoke tests.
+    A map evaluation is one EM iteration: it finishes the Gaussian and
+    categorical loading posteriors from sums over the instances
+    (:func:`_global_step`), then walks the blocks of instances once
+    (:func:`_walk`). Each block takes its noise-variance M-step and
+    expansion points at its current scores, builds its score system with
+    :func:`score_system`, solves it for new scores, reads its share of
+    the objective off it, and adds its share of the sums the next map
+    evaluation's posteriors are finished from. The map reads the state
+    only through those sums and the scores. trace[0] comes from the same
+    walk at the initial state, without the solve and the updates.
 
-    Each iteration finishes the Gaussian and categorical loading
-    posteriors from sums over the instances (:func:`_global_step`), then
-    walks the blocks of instances once (:func:`_walk`). Each block takes
-    its noise-variance M-step and expansion points at its current scores,
-    builds its score system with :func:`score_system`, solves it for new
-    scores, reads its share of the objective off it, and adds its share
-    of the sums the next iteration's posteriors are finished from.
-    trace[0] comes from the same walk at the initial state, without the
-    solve and the updates. The blocks of a walk run on the usable cores,
-    with OpenBLAS at one thread and their results added in block order,
-    so the result does not depend on the number of cores. Beyond the
-    returned arrays a fit holds one block's working set per worker, so
-    its memory grows with P only through its outputs and the data.
+    With spec.accelerate (the default) the map evaluations run in SQUAREM
+    cycles over theta = (scores, log noise variances, expansion points):
+    two plain evaluations from theta_0 give theta_1 and theta_2, then the
+    extrapolated point theta' (:meth:`_Squarem.extrapolate`); one walk
+    computes the sums at theta', and one map evaluation runs from there.
+    Its iterate is kept only if its objective is finite and no lower than
+    theta_2's; otherwise, or if that walk or evaluation raises
+    NumericalError, the fit goes back to theta_2 and counts the
+    extrapolation as rejected, so the trace never decreases. An
+    extrapolation is tried only while two map evaluations remain under
+    spec.max_iters. Without spec.accelerate every map evaluation is kept.
 
-    callback, if given, is invoked after every iteration as
-    callback(iteration, model) with the FittedModel the fit returns,
-    whose states, arrays and trace the next iteration overwrites or
-    extends (copy anything kept beyond the call).
+    The fit stops once the relative change between the last two trace
+    entries falls below spec.tol, checked after every kept map
+    evaluation, or once spec.max_iters map evaluations have run. An
+    infinite tol runs exactly one and reports converged=False, which is
+    useful for smoke tests. iterations_run counts every map evaluation,
+    the trace holds one entry per kept state, and iteration_seconds one
+    per map evaluation; an extrapolated one's includes the extrapolation
+    and the sums walk before it.
+
+    The blocks of a walk run on the usable cores, with OpenBLAS at one
+    thread and their results added in block order, and the
+    extrapolation's norms add up array by array, so the result does not
+    depend on the number of cores. Beyond the returned arrays a fit holds
+    one block's working set per worker and, when accelerated, a few
+    copies of the scores (:class:`_Squarem`).
+
+    callback, if given, is invoked after every kept map evaluation as
+    callback(iteration, model), iteration counting map evaluations, with
+    the FittedModel the fit returns, whose states, arrays and trace the
+    next evaluation overwrites or extends (copy anything kept beyond the
+    call).
     """
     if not isinstance(spec, ModelSpec):
         raise TypeError("spec must be a ModelSpec")
@@ -601,20 +772,52 @@ def fit(data, spec, callback=None):
     log_coefficient = _log_coefficient(data)
     objective, sums = _walk(data, model, log_coefficient, update=False)
     model.objective_trace.append(objective)
-    for iteration in range(1, spec.max_iters + 1):
+    squarem = _Squarem(data, model) if spec.accelerate else None
+
+    def evaluate():
+        model.gaussian, model.categoricals = _global_step(
+            data, sums, model.categoricals
+        )
+        return _walk(data, model, log_coefficient, update=True)
+
+    while model.iterations_run < spec.max_iters:
         start = time.perf_counter()
-        try:
-            model.gaussian, model.categoricals = _global_step(
-                data, sums, model.categoricals
-            )
-            objective, sums = _walk(data, model, log_coefficient, update=True)
-        except NumericalError as exc:
-            raise NumericalError(f"iteration {iteration}: {exc}") from exc
+        model.iterations_run += 1
+        scores = None
+        if squarem is not None and len(squarem.records) == 2:
+            if model.iterations_run < spec.max_iters:
+                scores = squarem.extrapolate(spec.score_update == "nonnegative")
+            squarem.records.clear()
+        if scores is not None:
+            model.extrapolations += 1
+            saved = model.scores, model.gaussian, model.categoricals, sums
+            model.scores = scores.copy()  # the evaluation overwrites it
+            try:
+                sums = _walk(data, model, log_coefficient, update=False)[1]
+                objective, sums = evaluate()
+            except NumericalError:
+                objective = math.nan
+            if math.isfinite(objective) and objective >= model.objective_trace[-1]:
+                squarem.prev = scores
+            else:
+                # back to theta_2, whose source squarem.prev still holds;
+                # its noise variances and expansion points are rewritten by
+                # the next map evaluation, for which room was left
+                model.extrapolations_rejected += 1
+                model.scores, model.gaussian, model.categoricals, sums = saved
+                model.iteration_seconds.append(time.perf_counter() - start)
+                continue
+        else:
+            if squarem is not None:
+                squarem.evaluating()
+            try:
+                objective, sums = evaluate()
+            except NumericalError as exc:
+                raise NumericalError(f"iteration {model.iterations_run}: {exc}") from exc
         model.iteration_seconds.append(time.perf_counter() - start)
         model.objective_trace.append(objective)
-        model.iterations_run = iteration
         if callback is not None:
-            callback(iteration, model)
+            callback(model.iterations_run, model)
         previous = model.objective_trace[-2]
         rel_change = abs(objective - previous) / max(abs(previous), 1e-12)
         if rel_change < spec.tol:

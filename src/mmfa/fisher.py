@@ -360,6 +360,7 @@ def mse_experiment(config):
             tol=1e-300,  # run every iteration; convergence is not the question
             max_iters=config.iterations,
             seed=data_seed + 1_000_003,
+            accelerate=False,  # the error curve is per plain EM iteration
         )
         track = all_mse[rep]
 

@@ -31,9 +31,12 @@ class ModelSpec:
 
     score_update selects how the per-instance quadratic program is
     solved: a plain SPD solve, a ridge-regularized solve, or a
-    nonnegativity-constrained solve. n_gaussian and n_categories, when
-    given, pin the expected data dimensions; fitting data of any other
-    shape is then rejected.
+    nonnegativity-constrained solve. accelerate runs the EM map
+    evaluations in safeguarded SQUAREM cycles (:func:`engine.fit`);
+    False runs plain EM, one kept iterate per evaluation, as the
+    score-recovery experiment does. max_iters caps map evaluations
+    either way. n_gaussian and n_categories, when given, pin the expected
+    data dimensions; fitting data of any other shape is then rejected.
     """
 
     n_factors: int
@@ -46,6 +49,7 @@ class ModelSpec:
     seed: int = 0
     n_gaussian: int = None
     n_categories: tuple = None
+    accelerate: bool = True
 
     def __post_init__(self):
         if self.n_factors < 1:
@@ -98,9 +102,15 @@ class FittedModel:
     """Converged states of one fit plus the objective trace.
 
     objective_trace[0] is the surrogate objective of the freshly
-    initialized state; one entry per EM iteration follows. The trace is
-    non-decreasing up to rounding because every update is an exact
-    coordinate-ascent step on the tracked objective.
+    initialized state; one entry per kept state follows, that is per EM
+    map evaluation that was not a rejected extrapolation. The trace is
+    non-decreasing up to rounding: every update is an exact
+    coordinate-ascent step on the tracked objective, and an extrapolated
+    state is kept only if it is no lower. iterations_run counts map
+    evaluations, the quantity spec.max_iters caps, and iteration_seconds
+    holds the wall-clock seconds of each. extrapolations counts the
+    SQUAREM extrapolations evaluated and extrapolations_rejected those
+    not kept; both are 0 for plain EM.
     """
 
     spec: ModelSpec
@@ -112,6 +122,8 @@ class FittedModel:
     iterations_run: int = 0
     converged: bool = False
     iteration_seconds: list = field(default_factory=list)
+    extrapolations: int = 0
+    extrapolations_rejected: int = 0
 
     @property
     def n_factors(self):
@@ -180,6 +192,8 @@ def save_model(model, path):
         "spec": asdict(model.spec),
         "n_category_list": model.category_counts,
         "iterations_run": model.iterations_run,
+        "extrapolations": model.extrapolations,
+        "extrapolations_rejected": model.extrapolations_rejected,
         "converged": model.converged,
         "objective_trace": list(map(float, model.objective_trace)),
         "blob": os.path.basename(blob_path),
@@ -287,6 +301,8 @@ def load_model(path):
             categoricals=categoricals,
             objective_trace=list(doc["objective_trace"]),
             iterations_run=int(doc["iterations_run"]),
+            extrapolations=int(doc.get("extrapolations", 0)),
+            extrapolations_rejected=int(doc.get("extrapolations_rejected", 0)),
             converged=bool(doc["converged"]),
         )
     except (KeyError, TypeError, IndexError) as exc:

@@ -302,7 +302,8 @@ def test_a7_linear_complexity_scaling():
             )
         )
         spec = ModelSpec(
-            n_factors=3, beta=0.5, tol=1e-300, max_iters=5, seed=seed
+            n_factors=3, beta=0.5, tol=1e-300, max_iters=5, seed=seed,
+            accelerate=False,
         )
         return np.median(fit(synth.dataset, spec).iteration_seconds[1:])
 
@@ -442,7 +443,9 @@ def test_a9_heldout_predictive_trend():
 
     fit(
         train,
-        ModelSpec(n_factors=3, beta=0.1, tol=1e-300, max_iters=40, seed=902),
+        ModelSpec(
+            n_factors=3, beta=0.1, tol=1e-300, max_iters=40, seed=902, accelerate=False
+        ),
         callback=record,
     )
     rho = float(spearmanr(np.arange(len(heldout)), heldout).statistic)

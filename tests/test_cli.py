@@ -82,13 +82,20 @@ class TestFit:
         assert model_path.exists()
         trace = (tmp_path / "model.mmfa.trace.csv").read_text().splitlines()
         assert trace[0].startswith("# seed=3")
-        values = [float(line.split(",")[1]) for line in trace[4:]]
+        meta = dict(line[2:].split("=") for line in trace if line.startswith("# "))
+        assert list(meta) == ["seed", "converged", "iterations", "extrapolations", "rejected"]
+        assert trace[len(meta)] == "iteration,objective"
+        values = [float(line.split(",")[1]) for line in trace[len(meta) + 1:]]
         assert all(b >= a - 1e-8 for a, b in zip(values, values[1:]))
-        # one timing row per iteration; the trace has one more, iteration 0
+        # one trace row per kept state from the initial one, one timing row
+        # per map evaluation
+        iterations, rejected = int(meta["iterations"]), int(meta["rejected"])
+        assert int(meta["extrapolations"]) > 0
+        assert len(values) == iterations - rejected + 1
         timing = (tmp_path / "model.mmfa.timing.csv").read_text().splitlines()
         assert timing[0] == "iteration,seconds"
         rows = [line.split(",") for line in timing[1:]]
-        assert [int(i) for i, _ in rows] == list(range(1, len(values)))
+        assert [int(i) for i, _ in rows] == list(range(1, iterations + 1))
         assert all(float(seconds) > 0 for _, seconds in rows)
 
     def test_model_and_blob_move_together(self, sim_dir, tmp_path, capsys):

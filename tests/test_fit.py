@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -186,6 +187,8 @@ class TestFitContracts:
         spec = ModelSpec(n_factors=2, tol=np.inf, max_iters=50, seed=1)
         model = fit(synth.dataset, spec)
         assert model.iterations_run == 1
+        assert len(model.objective_trace) == 2
+        assert model.extrapolations == 0
         assert not model.converged
 
     def test_monotone_objective(self):
@@ -214,7 +217,8 @@ class TestFitContracts:
             )
         )
         spec = ModelSpec(
-            n_factors=3, score_update="nonnegative", max_iters=150, seed=2
+            n_factors=3, score_update="nonnegative", max_iters=150, seed=2,
+            accelerate=False,
         )
         model = fit(synth.dataset, spec)
         assert model.iterations_run == 150
@@ -466,9 +470,94 @@ class TestObjectiveFromScoreSystem:
 
         monkeypatch.setattr(mmod, "_bound_terms", counting)
         data = objective_datasets()["masked-two-block"]
-        model = fit(data, ModelSpec(n_factors=2, max_iters=7, seed=1))
+        model = fit(data, ModelSpec(n_factors=2, max_iters=7, seed=1, accelerate=False))
         assert model.iterations_run == 7
         assert len(calls) == 2 * (model.iterations_run + 1)
+
+
+class TestSquarem:
+    """The default fit runs its map evaluations in safeguarded SQUAREM
+    cycles."""
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only", "empty"]
+    )
+    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    def test_monotone_at_default_spec(self, dataset, mode):
+        data = objective_datasets()[dataset]
+        model = fit(data, ModelSpec(n_factors=2, score_update=mode, seed=2))
+        assert np.all(np.diff(model.objective_trace) >= -1e-8)
+        assert len(model.objective_trace) == (
+            model.iterations_run - model.extrapolations_rejected + 1
+        )
+        if data.n_instances:
+            assert model.extrapolations > 0
+
+    @pytest.mark.parametrize("where", ["sums", "map"])
+    def test_numerical_error_in_extrapolation_falls_back(self, monkeypatch, where):
+        # every extrapolation fails, in the walk for the sums at theta' or
+        # in the map evaluation from there; the fit then keeps exactly the
+        # plain EM iterates
+        walk = engine._walk
+        walks, after_sums = [], []
+
+        def failing(data, model, log_coefficient, update):
+            # every walk without update after the first, which is trace[0]'s,
+            # is the one for the sums at theta'
+            sums_walk = not update and bool(walks)
+            walks.append(update)
+            if where == "sums" and sums_walk:
+                raise NumericalError("injected")
+            if after_sums:
+                after_sums.clear()
+                raise NumericalError("injected")
+            result = walk(data, model, log_coefficient, update)
+            if where == "map" and sums_walk:
+                after_sums.append(True)
+            return result
+
+        monkeypatch.setattr(engine, "_walk", failing)
+        data = objective_datasets()["masked-two-block"]
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=30, seed=1)
+        model = fit(data, spec)
+        assert model.iterations_run == 30
+        assert model.extrapolations_rejected == model.extrapolations > 0
+        monkeypatch.setattr(engine, "_walk", walk)
+        kept = len(model.objective_trace) - 1
+        plain = fit(data, replace(spec, accelerate=False, max_iters=kept))
+        assert model.objective_trace == plain.objective_trace
+        for got, want in zip(model_arrays(model), model_arrays(plain), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert surrogate_objective(model, data) == pytest.approx(
+            model.objective_trace[-1], abs=1e-9
+        )
+
+    @pytest.mark.parametrize("max_iters", [3, 4, 5, 6, 31])
+    def test_surrogate_reproduces_last_trace_entry(self, max_iters):
+        # a fit may stop after any map evaluation of a cycle
+        data = objective_datasets()["masked-two-block"]
+        model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=max_iters, seed=3))
+        assert model.iterations_run == max_iters
+        assert surrogate_objective(model, data) == pytest.approx(
+            model.objective_trace[-1], abs=1e-9
+        )
+
+    def test_reaches_plain_objective_in_a_third_of_the_evaluations(self):
+        data = objective_datasets()["masked-two-block"]
+        spec = ModelSpec(n_factors=2, tol=1e-9, max_iters=2000, seed=1)
+        plain = fit(data, replace(spec, accelerate=False))
+        assert plain.converged
+        target = plain.objective_trace[-1]
+        reached = []
+
+        def record(iteration, model):
+            if model.objective_trace[-1] >= target:
+                reached.append(iteration)
+
+        fit(data, spec, callback=record)
+        assert reached and reached[0] <= plain.iterations_run / 3, (
+            reached[:1], plain.iterations_run
+        )
 
 
 class TestInstanceBlocks:
@@ -593,6 +682,26 @@ class TestInstanceBlocks:
         bound = data.gaussian.nbytes
         assert peak - outputs < bound, (peak, outputs, bound)
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1worker", "2workers"])
+    def test_extrapolating_fit_memory_bounded_by_a_block(self, monkeypatch, workers):
+        # SQUAREM recomputes the earlier iterates' noise variances and
+        # expansion points block by block: beyond a few (K, P) score
+        # arrays it holds no more than a plain fit
+        data = self._wide_data(monkeypatch)
+        monkeypatch.setattr(engine, "_WORKERS", workers)
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=9, seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = fit(data, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert model.extrapolations == 2
+        outputs = sum(a.nbytes for a in model_arrays(model))
+        bound = data.gaussian.nbytes + 5 * model.scores.nbytes
+        assert peak - outputs < bound, (peak, outputs, bound)
+
     @pytest.mark.parametrize(
         "max_inner, workers",
         [
@@ -693,6 +802,45 @@ class TestBlockPool:
         assert len(one) == len(two)
         for got, want in zip(two, one):
             np.testing.assert_array_equal(got, want)
+
+    def test_extrapolating_fit_identical_across_worker_counts(self, monkeypatch, data):
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(engine, "_WORKERS", workers)
+            fits.append(fit(data, ModelSpec(n_factors=2, seed=4)))
+        one, two = fits
+        counts = ("iterations_run", "extrapolations", "extrapolations_rejected")
+        assert one.extrapolations > 0
+        assert [getattr(one, n) for n in counts] == [getattr(two, n) for n in counts]
+        assert one.objective_trace == two.objective_trace
+        for got, want in zip(model_arrays(two), model_arrays(one), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_block_results_independent_of_blas_threads(self):
+        # a pass of one block holds OpenBLAS at one thread too
+        script = (
+            "import hashlib, sys, numpy as np, mmfa\n"
+            "data = mmfa.sample_dataset(mmfa.GeneratorConfig(\n"
+            "    n_factors=4, n_instances=2000, n_gaussian=40, n_categories=(30,),\n"
+            "    n_trials=10, missing_fraction=0.3, seed=7)).dataset\n"
+            "model = mmfa.fit(data, mmfa.ModelSpec(n_factors=4, max_iters=12, seed=1))\n"
+            "scores, loglik = mmfa.score_dataset(model, data)\n"
+            "digest = hashlib.sha256()\n"
+            "for a in (model.scores, model.noise_variance, model.gaussian.cov,\n"
+            "          np.array(model.objective_trace), scores, loglik):\n"
+            "    digest.update(np.ascontiguousarray(a).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                timeout=300, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_blocks_run_on_the_pool_at_one_blas_thread(self, monkeypatch, data, blas):
         get, _ = blas
@@ -834,6 +982,9 @@ class TestModelIO:
         assert loaded.objective_trace == model.objective_trace
         assert loaded.spec == model.spec
         assert loaded.converged == model.converged
+        counts = ("iterations_run", "extrapolations", "extrapolations_rejected")
+        assert model.extrapolations > 0
+        assert [getattr(loaded, n) for n in counts] == [getattr(model, n) for n in counts]
 
     def test_large_model_uses_blob_and_roundtrips(self, tmp_path):
         cfg = GeneratorConfig(
@@ -925,6 +1076,8 @@ class TestModelIO:
             assert got.flags.c_contiguous
         assert loaded.objective_trace == model.objective_trace
         assert loaded.spec == model.spec
+        # written before the extrapolation counts were recorded
+        assert loaded.extrapolations == loaded.extrapolations_rejected == 0
 
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
