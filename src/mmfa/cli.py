@@ -7,6 +7,7 @@ no timestamps, sorted JSON keys, fixed float formatting.
 """
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -298,6 +299,7 @@ def _cmd_simulate(args):
         raise SchemaError(f"cannot write to {args.output}: {exc}") from exc
 
 
+@functools.cache  # parse_args leaves the parser as it is, and building costs ten parses
 def build_parser():
     parser = _Parser(prog="mmfa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

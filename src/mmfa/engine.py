@@ -53,7 +53,6 @@ from . import gaussian as gmod
 from . import multinomial as mmod
 from .errors import DimensionMismatch, MmfaError, NumericalError
 from .model import FittedModel, ModelSpec
-from .multinomial import MultinomialState
 
 NONNEG_KKT_TOL = 1e-8
 NONNEG_MAX_ITERS = 20_000
@@ -179,18 +178,6 @@ def _blocks_in_order(p, step):
                     yield future.result()
 
 
-def _prior_multinomial_state(n_categories, k, p):
-    eye = np.eye(k)
-    return MultinomialState(
-        n_categories=n_categories,
-        precision=eye.copy(),
-        precision_inv=eye.copy(),
-        cross_cov=np.zeros((k, k)),
-        loading_mean=np.zeros((k, n_categories - 1)),
-        expansion=np.zeros((p, n_categories - 1)),
-    )
-
-
 @dataclass
 class _Block:
     """One block of instances after its :func:`_local_step`."""
@@ -253,31 +240,32 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     return blk
 
 
-def _walk(data, model, log_coefficient, update):
+def _walk(data, model, log_coefficient, update, hook=None):
     """One pass over the instance blocks; returns (objective, sums).
 
-    model holds the state the pass reads and, with update, writes. With
-    update (a fit iteration) each block takes its local step at its
-    current scores, writes its noise variances into model.noise_variance
-    and its expansion points into each categorical state's expansion
-    array, and solves for new scores, written into model.scores. Without,
-    each block reads the noise variances and expansion points as they are
-    and the scores are kept. The objective is the surrogate at the scores
-    the model then holds: the blocks' quadratic sum_i (rho_i^T c_i -
-    c_i^T (H_i + ridge I) c_i / 2) with (H, rho) the unridged score
-    system, plus the per-entry and per-instance terms free of the scores,
-    then the terms of the loading posteriors alone and log_coefficient
-    (:func:`_log_coefficient` of data). The sums, at the same scores, are
-    what :func:`_global_step` reads: the packed Gaussian precision sums
-    and C (w * Y), then C diag(N) C^T and C ztilde^T per categorical
-    block. They depend on the scores, noise variances and expansion points
-    alone.
+    With update (a fit iteration) each block takes its local step at its
+    current scores and writes its noise variances, its expansion points
+    and the scores it solves for into the model's arrays. Without, each
+    block reads the model's noise variances and expansion points and keeps
+    its scores. The objective is the surrogate at the scores the model
+    then holds: the blocks' sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i
+    / 2), (H, rho) the unridged score system, plus the terms free of the
+    scores, those of the loading posteriors alone and log_coefficient
+    (:func:`_log_coefficient`). The sums, at the same scores, are what
+    :func:`_global_step` reads: the packed Gaussian precision sums and
+    C (w * Y), then C diag(N) C^T and C ztilde^T per categorical block.
+    They depend on the scores, noise variances and expansion points alone.
 
-    The blocks run through :func:`_blocks_in_order`, so on several
-    threads at once. Each block writes only its own rows of the model's
-    arrays and returns its objective terms and its sums; they are added
-    here, block after block, so the result does not depend on the number
-    of threads.
+    hook, if given, does SQUAREM's work in every block (:class:`_Squarem`),
+    given the rows' Gaussian data Y (:func:`gaussian._observed`) and mask.
+    With update, hook(rows, Y, mask, scores, sigma2, psis) gets the block's
+    new theta before it overwrites the model's. Without, hook(rows, Y,
+    mask) runs first and may write the rows' theta for the block to read;
+    if it returns false the block is skipped, leaving the results partial.
+
+    The blocks run on several threads (:func:`_blocks_in_order`). Each
+    writes only its own rows, and their terms and sums are added here in
+    block order, so the result does not depend on the number of threads.
     """
     spec, C, sigma2 = model.spec, model.scores, model.noise_variance
     gauss_state, cat_states = model.gaussian, model.categoricals
@@ -286,28 +274,27 @@ def _walk(data, model, log_coefficient, update):
 
     def step(rows):
         scores = C[:, rows]
+        Y = mask = None
+        if data.gaussian is not None:
+            mask = None if data.mask is None else data.mask[rows]
+            Y = gmod._observed(data.gaussian[rows], mask)
         if update:
             blk = _local_step(
                 data, spec, gauss_state, cat_states, scores, rows, offsets=True,
-                bases=bases,
+                Y=Y, bases=bases,
             )
-            if sigma2 is not None:
-                sigma2[rows] = blk.sigma2
-            for state in cat_states:
-                # by a second product, not a transposing copy of blk.psis,
-                # which costs 8 times as much at 512 categories
-                state.expansion[rows] = mmod.psi_update(state.loading_mean, scores)
             c = solve_scores_batch(
                 blk.H, blk.rho, spec.score_update, spec.ridge_weight,
                 warm_start=scores.T,
             )
-            C[:, rows] = c.T
         else:
+            if hook is not None and not hook(rows, Y, mask):
+                return ([], []), None
             blk = _local_step(
                 data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=None if sigma2 is None else sigma2[rows],
                 psis=[state.expansion[rows].T for state in cat_states],
-                offsets=True, bases=bases,
+                offsets=True, Y=Y, bases=bases,
             )
             c = scores.T
         Hc = np.einsum("pkl,pl->pk", blk.H, c)
@@ -326,7 +313,20 @@ def _walk(data, model, log_coefficient, update):
             parts += mmod._e_step_sums(c.T, block.trials[rows], ztilde)
         # held: the arrays that grow with the category count; holding the
         # Gaussian ones too would cost a W1 fit 14 MB
-        return (terms, parts), (blk.psis, blk.ztildes, blk.offsets)
+        held, new_sigma2 = (blk.psis, blk.ztildes, blk.offsets), blk.sigma2
+        if update:
+            del blk  # H and the weights go before the hook allocates: 2.5 MB of W1's peak
+            # by a second product, not a transposing copy of blk.psis,
+            # which costs 8 times as much at 512 categories
+            psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
+            if hook is not None:
+                hook(rows, Y, mask, c.T, new_sigma2, psis)
+            if sigma2 is not None:
+                sigma2[rows] = new_sigma2
+            for state, psi in zip(cat_states, psis):
+                state.expansion[rows] = psi
+            C[:, rows] = c.T
+        return (terms, parts), held
 
     k = C.shape[0]
     total = 0.0
@@ -340,7 +340,12 @@ def _walk(data, model, log_coefficient, update):
             total += term
         for acc, part in zip(sums, parts):
             acc += part
-    return total + _posterior_terms(gauss_state, cat_states) + log_coefficient, sums
+    posterior = 0.0  # the terms of the loading posteriors alone
+    if gauss_state is not None:
+        posterior += gmod.gaussian_posterior_terms(gauss_state)
+    for state in cat_states:
+        posterior += mmod.multinomial_posterior_terms(state)
+    return total + posterior + log_coefficient, sums
 
 
 def _global_step(data, sums, cat_states):
@@ -360,16 +365,6 @@ def _global_step(data, sums, cat_states):
         state.expansion = old.expansion
         new_states.append(state)
     return gauss_state, new_states
-
-
-def _posterior_terms(gauss_state, cat_states):
-    """The objective's terms that depend on the loading posteriors alone."""
-    total = 0.0
-    if gauss_state is not None:
-        total += gmod.gaussian_posterior_terms(gauss_state)
-    for state in cat_states:
-        total += mmod.multinomial_posterior_terms(state)
-    return total
 
 
 def _log_coefficient(data):
@@ -558,10 +553,14 @@ def score_system(data, gauss_state, weights, cat_states, ztildes,
     return H, rho
 
 
-def _sum_sq(a):
-    """The sum of squares of a 2-D array, in an order that does not
-    depend on BLAS's thread count."""
-    return float(np.einsum("ij,ij->", a, a))
+def _differences(theta0, theta1, theta2):
+    """(r, v): theta_1 - theta_0, theta_2 - 2 theta_1 + theta_0, in theta_0's."""
+    r = [np.subtract(b, a) for a, b in zip(theta0, theta1)]
+    for a, b, c in zip(theta0, r, theta2):
+        a += b
+        a += b
+        np.subtract(c, a, out=a)
+    return r, theta0
 
 
 class _Squarem:
@@ -571,33 +570,34 @@ class _Squarem:
     A map evaluation computes each block's noise variances and expansion
     points from the scores it starts from and the loading posteriors it
     has just finished, and reads no others. So an iterate's are fixed by
-    its source, those scores and posteriors, and are recomputed block by
-    block when the extrapolation needs them: the record of an iterate is
-    (scores, source scores, Gaussian state, categorical states), with
-    source scores None for the initial state (prior-mode variances,
-    psi = 0). Beyond the model a cycle holds a few (K, P) arrays, never a
-    copy of the (P, D1) noise variances or of the (P, D - 1) expansion
-    points.
+    its source, and are recomputed block by block when needed: the record
+    of an iterate is (scores, source scores, Gaussian state, categorical
+    states), source scores None for the initial state (prior-mode
+    variances, psi = 0). Beyond the model a cycle holds a few (K, P)
+    arrays. Its work rides on two walks of the fit, as their hook.
     """
 
-    def __init__(self, data, model):
-        self.data, self.model = data, model
+    def __init__(self, model):
+        self.model = model
         self.prev = None  # the source scores of the model's state
         self.records = []  # the cycle's theta_0 and theta_1
+        self.shares = {}  # per block, by first row: its |r|^2 and |v|^2
+        self.finite = True  # whether every block's last theta' was finite
 
     def evaluating(self):
         """Record the model's state before a plain map evaluation, which
-        overwrites its scores."""
+        overwrites its scores. Returns the evaluation's hook: :meth:`norms`
+        for the cycle's second evaluation, else None."""
         model = self.model
         scores = model.scores.copy()
         self.records.append((scores, self.prev, model.gaussian, model.categoricals))
         self.prev = scores
+        return self.norms if len(self.records) == 2 else None
 
     def _recorded(self, record, rows, Y, mask):
-        """theta of a recorded iterate at the instances in rows, as new
-        arrays: scores (K, b), log noise variances (b, D1) and expansion
-        points (b, D - 1). Y and mask are the rows' Gaussian data from
-        :func:`gaussian._observed` and their mask."""
+        """theta of a recorded iterate at rows, as new arrays: scores (K, b),
+        log noise variances (b, D1) and expansion points (b, D - 1), from
+        the rows' Gaussian data Y (:func:`gaussian._observed`) and mask."""
         scores, prev, gauss, cats = record
         spec = self.model.spec
         theta = [np.array(scores[:, rows])]
@@ -617,64 +617,60 @@ class _Squarem:
             )
         return theta
 
-    def _differences(self, rows, theta0, theta1):
-        """(r, v, theta_2) at the instances in rows, theta_2 the model's
-        state, read from its arrays."""
-        data, model = self.data, self.model
-        Y = mask = None
-        if data.gaussian is not None:
-            mask = None if data.mask is None else data.mask[rows]
-            Y = gmod._observed(data.gaussian[rows], mask)
-        r = self._recorded(theta1, rows, Y, mask)
-        v = self._recorded(theta0, rows, Y, mask)
-        now = [model.scores[:, rows]]
-        if model.noise_variance is not None:
-            now.append(np.log(model.noise_variance[rows]))
-        now += [state.expansion[rows] for state in model.categoricals]
-        for a, b, c in zip(v, r, now):
-            b -= a  # r = theta_1 - theta_0
-            a += b
-            a += b
-            np.subtract(c, a, out=a)  # v = theta_2 - theta_0 - 2 r
-        return r, v, now
-
-    def extrapolate(self, nonnegative):
-        """theta' = theta_0 - 2 a r + a^2 v, with r = theta_1 - theta_0,
-        v = theta_2 - 2 theta_1 + theta_0 and a = -max(1, |r| / |v|), for
-        the cycle's theta_0 and theta_1 and the model's state theta_2.
-
-        Two passes over the instance blocks: the first adds up |r|^2 and
-        |v|^2, each array's share in block order and then array by array,
-        so they do not depend on the number of workers; the second writes
-        theta' = theta_2 - 2 (1 + a) r + (a^2 - 1) v, scores clipped at 0
-        if nonnegative. theta''s noise variances and expansion points go
-        into the model's arrays, whose values a map evaluation does not
-        read, and its scores are returned as a new array. Returns None,
-        with the model's scores untouched, if a is -1, where theta' is
-        theta_2, or if theta' is not finite.
-        """
-        (theta0, theta1), self.records = self.records, []
+    def _held(self, scores, rows):
+        """theta at rows: scores, and the model's arrays (views but the logs)."""
         model = self.model
-        p = model.n_instances
+        theta = [scores[:, rows]]
+        if model.noise_variance is not None:
+            theta.append(np.log(model.noise_variance[rows]))
+        return theta + [state.expansion[rows] for state in model.categoricals]
 
-        def norms(rows):
-            r, v, _ = self._differences(rows, theta0, theta1)
-            return [(_sum_sq(x), _sum_sq(y)) for x, y in zip(r, v)], None
+    def norms(self, rows, Y, mask, scores, sigma2, psis):
+        """theta_2's map evaluation's hook: the block's |r|^2 and |v|^2, a
+        pair per array, with theta_1 read from the model's arrays before
+        the walk overwrites them and theta_0 recomputed."""
+        theta2 = [scores] + ([] if sigma2 is None else [np.log(sigma2)]) + psis
+        r, v = _differences(
+            self._recorded(self.records[0], rows, Y, mask),
+            self._held(self.model.scores, rows), theta2,
+        )
+        # einsum, not BLAS dot: the sums must not depend on its thread count
+        self.shares[rows.start] = [
+            (np.einsum("ij,ij->", x, x), np.einsum("ij,ij->", y, y)) for x, y in zip(r, v)
+        ]
 
+    def extrapolation(self, nonnegative):
+        """The hook for the walk at theta' = theta_0 - 2 a r + a^2 v, with
+        r = theta_1 - theta_0, v = theta_2 - 2 theta_1 + theta_0 (theta_2
+        the model's state) and a = -max(1, |r| / |v|), the norms added up
+        from :meth:`norms`'s shares in block order, then array by array;
+        None if a is -1, where theta' is theta_2, or not finite. The hook
+        writes theta' = theta_2 - 2 (1 + a) r + (a^2 - 1) v, scores clipped
+        at 0 if nonnegative, into the model: into the new array the caller
+        puts in model.scores, and over theta_2's noise variances and
+        expansion points, which a map evaluation does not read. It returns
+        whether the block's theta' is finite, clearing self.finite if not.
+        """
+        model = self.model
         totals = np.zeros((1 + (model.noise_variance is not None)
                            + len(model.categoricals), 2))
-        for part in _blocks_in_order(p, norms):
-            totals += part
+        for start in sorted(self.shares):
+            totals += self.shares[start]
         rr, vv = totals.sum(axis=0)
         if not (vv > 0.0 and math.isfinite(rr) and math.isfinite(vv)):
             return None
         alpha = -max(1.0, math.sqrt(rr / vv))
         if alpha == -1.0:
             return None
-        scores = np.empty_like(model.scores)
+        (theta0, theta1), scores2 = self.records, model.scores
+        self.finite = True
 
-        def write(rows):
-            r, v, now = self._differences(rows, theta0, theta1)
+        def hook(rows, Y, mask):
+            now = self._held(scores2, rows)
+            r, v = _differences(
+                self._recorded(theta0, rows, Y, mask),
+                self._recorded(theta1, rows, Y, mask), now,
+            )
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, y, z in zip(r, v, now):
                     y *= 0.5 * (1.0 - alpha)
@@ -685,7 +681,7 @@ class _Squarem:
                 c = next(new)
                 if nonnegative:
                     np.maximum(c, 0.0, out=c)
-                scores[:, rows] = c
+                model.scores[:, rows] = c
                 ok = np.isfinite(c).all()
                 if model.noise_variance is not None:
                     sigma2 = np.exp(next(new))
@@ -694,52 +690,52 @@ class _Squarem:
                 for state, psi in zip(model.categoricals, new):
                     ok &= np.isfinite(psi).all()
                     state.expansion[rows] = psi
-            return bool(ok), None
+            if not ok:
+                self.finite = False  # only ever cleared: safe from any thread
+            return bool(ok)
 
-        return scores if all(list(_blocks_in_order(p, write))) else None
+        return hook
 
 
 def fit(data, spec, callback=None):
     """Fit the factor model to a heterogeneous dataset.
 
-    A map evaluation is one EM iteration: it finishes the Gaussian and
-    categorical loading posteriors from sums over the instances
-    (:func:`_global_step`), then walks the blocks of instances once
-    (:func:`_walk`). Each block takes its noise-variance M-step and
-    expansion points at its current scores, builds its score system with
-    :func:`score_system`, solves it for new scores, reads its share of
-    the objective off it, and adds its share of the sums the next map
-    evaluation's posteriors are finished from. The map reads the state
-    only through those sums and the scores. trace[0] comes from the same
-    walk at the initial state, without the solve and the updates.
+    A map evaluation is one EM iteration: it finishes the loading
+    posteriors from sums over the instances (:func:`_global_step`), then
+    walks the blocks of instances once (:func:`_walk`). Each block takes
+    its noise-variance M-step and expansion points at its current scores,
+    solves its score system (:func:`score_system`) for new scores, and
+    adds its shares of the objective and of the sums the next evaluation
+    reads. The map reads the state only through those sums and the
+    scores. trace[0] comes from the same walk at the initial state,
+    without the solve and the updates.
 
     With spec.accelerate (the default) the map evaluations run in SQUAREM
     cycles over theta = (scores, log noise variances, expansion points):
-    two plain evaluations from theta_0 give theta_1 and theta_2, then the
-    extrapolated point theta' (:meth:`_Squarem.extrapolate`); one walk
-    computes the sums at theta', and one map evaluation runs from there.
-    Its iterate is kept only if its objective is finite and no lower than
+    two plain evaluations from theta_0 give theta_1 and theta_2, then one
+    walk forms the extrapolated point theta' and the sums there
+    (:class:`_Squarem`), and one map evaluation runs from there. Its
+    iterate is kept only if its objective is finite and no lower than
     theta_2's; otherwise, or if that walk or evaluation raises
     NumericalError, the fit goes back to theta_2 and counts the
-    extrapolation as rejected, so the trace never decreases. An
-    extrapolation is tried only while two map evaluations remain under
-    spec.max_iters. Without spec.accelerate every map evaluation is kept.
+    extrapolation as rejected, so the trace never decreases. A theta' that
+    is not finite is no extrapolation. One is tried only while two map
+    evaluations remain under spec.max_iters. Without spec.accelerate every
+    map evaluation is kept.
 
     The fit stops once the relative change between the last two trace
     entries falls below spec.tol, checked after every kept map
-    evaluation, or once spec.max_iters map evaluations have run. An
-    infinite tol runs exactly one and reports converged=False, which is
-    useful for smoke tests. iterations_run counts every map evaluation,
-    the trace holds one entry per kept state, and iteration_seconds one
-    per map evaluation; an extrapolated one's includes the extrapolation
-    and the sums walk before it.
+    evaluation, or once spec.max_iters map evaluations have run; an
+    infinite tol runs exactly one and reports converged=False.
+    iterations_run counts map evaluations, the trace holds one entry per
+    kept state, and iteration_seconds one per map evaluation, an
+    extrapolated one's including the walk at theta'.
 
-    The blocks of a walk run on the usable cores, with OpenBLAS at one
-    thread and their results added in block order, and the
-    extrapolation's norms add up array by array, so the result does not
-    depend on the number of cores. Beyond the returned arrays a fit holds
-    one block's working set per worker and, when accelerated, a few
-    copies of the scores (:class:`_Squarem`).
+    Walks run their blocks on the usable cores with OpenBLAS at one
+    thread, adding results in block order, so the result does not depend
+    on the number of cores. Beyond the returned arrays a fit holds one
+    block's working set per worker and, when accelerated, a few copies of
+    the scores.
 
     callback, if given, is invoked after every kept map evaluation as
     callback(iteration, model), iteration counting map evaluations, with
@@ -757,61 +753,66 @@ def fit(data, spec, callback=None):
     k, p = spec.n_factors, data.n_instances
     rng = np.random.default_rng(spec.seed)
     model = FittedModel(spec=spec, scores=0.1 * rng.standard_normal((k, p)))
+    # the prior posteriors, finished from zero sums like every later one
     if data.gaussian is not None:
         d1 = data.n_gaussian
-        model.gaussian = gmod.GaussianState(
-            mean=np.zeros((d1, k)),
-            cov=np.broadcast_to(np.eye(k), (d1, k, k)).copy(),
-        )
-        model.noise_variance = np.full(
-            (p, d1), gmod.prior_mode_variance(spec.alpha, spec.beta)
-        )
-    model.categoricals = [
-        _prior_multinomial_state(b.n_categories, k, p) for b in data.categoricals
-    ]
+        zeros = np.zeros((k * (k + 1) // 2, d1))
+        model.gaussian = gmod._e_step_finish(zeros, np.zeros((k, d1)))
+        prior = gmod.prior_mode_variance(spec.alpha, spec.beta)
+        model.noise_variance = np.full((p, d1), prior)
+    for d in data.category_counts:
+        state = mmod._e_step_finish(np.zeros((k, k)), np.zeros((k, d - 1)), d)
+        state.expansion = np.zeros((p, d - 1))
+        model.categoricals.append(state)
     log_coefficient = _log_coefficient(data)
     objective, sums = _walk(data, model, log_coefficient, update=False)
     model.objective_trace.append(objective)
-    squarem = _Squarem(data, model) if spec.accelerate else None
+    squarem = _Squarem(model) if spec.accelerate else None
 
-    def evaluate():
+    def evaluate(hook=None):
         model.gaussian, model.categoricals = _global_step(
             data, sums, model.categoricals
         )
-        return _walk(data, model, log_coefficient, update=True)
+        return _walk(data, model, log_coefficient, update=True, hook=hook)
 
     while model.iterations_run < spec.max_iters:
         start = time.perf_counter()
         model.iterations_run += 1
-        scores = None
+        hook = None
         if squarem is not None and len(squarem.records) == 2:
             if model.iterations_run < spec.max_iters:
-                scores = squarem.extrapolate(spec.score_update == "nonnegative")
+                hook = squarem.extrapolation(spec.score_update == "nonnegative")
             squarem.records.clear()
-        if scores is not None:
-            model.extrapolations += 1
+        plain = hook is None
+        if not plain:
             saved = model.scores, model.gaussian, model.categoricals, sums
-            model.scores = scores.copy()  # the evaluation overwrites it
-            try:
-                sums = _walk(data, model, log_coefficient, update=False)[1]
-                objective, sums = evaluate()
-            except NumericalError:
-                objective = math.nan
-            if math.isfinite(objective) and objective >= model.objective_trace[-1]:
-                squarem.prev = scores
+            model.scores = np.empty_like(model.scores)  # theta''s, which the walk writes
+            objective = math.nan
+            with contextlib.suppress(NumericalError):
+                at = _walk(data, model, log_coefficient, update=False, hook=hook)[1]
+                hook = None  # theta_0's scores go with it, before the evaluation
+                if squarem.finite:
+                    # the evaluation overwrites the scores it starts from
+                    sums, source = at, model.scores.copy()
+                    objective, sums = evaluate()
+            if not squarem.finite:  # no extrapolation: theta_2's evaluation follows
+                model.scores, plain = saved[0], True
+            elif math.isfinite(objective) and objective >= model.objective_trace[-1]:
+                model.extrapolations += 1
+                squarem.prev = source
             else:
                 # back to theta_2, whose source squarem.prev still holds;
                 # its noise variances and expansion points are rewritten by
                 # the next map evaluation, for which room was left
+                model.extrapolations += 1
                 model.extrapolations_rejected += 1
                 model.scores, model.gaussian, model.categoricals, sums = saved
                 model.iteration_seconds.append(time.perf_counter() - start)
                 continue
-        else:
-            if squarem is not None:
-                squarem.evaluating()
+        if plain:
+            norms = None if squarem is None else squarem.evaluating()
             try:
-                objective, sums = evaluate()
+                objective, sums = evaluate(norms)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {model.iterations_run}: {exc}") from exc
         model.iteration_seconds.append(time.perf_counter() - start)

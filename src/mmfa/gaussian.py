@@ -23,10 +23,12 @@ VARIANCE_FLOOR = 1e-9
 
 @dataclass
 class GaussianState:
-    """Per-feature loading posteriors: mean (D1, K) and cov (D1, K, K)."""
+    """Per-feature loading posteriors: mean (D1, K) and cov (D1, K, K),
+    and cov_terms (:func:`_cov_terms`), or None until first read."""
 
     mean: np.ndarray
     cov: np.ndarray
+    cov_terms: float = None
 
     @property
     def n_features(self):
@@ -45,9 +47,15 @@ def prior_mode_variance(alpha, beta):
 
 def _observed(Y, mask):
     """Y with masked-out entries set to 0: a hidden entry may hold NaN,
-    and a zero weight times NaN is still NaN."""
+    and a zero weight times NaN is still NaN. The entries are ANDed with
+    words of all ones or all zeros, as np.where's result bit for bit but
+    with no branch per entry to mispredict on a scattered mask."""
     Y = np.asarray(Y, dtype=float)
-    return Y if mask is None else np.where(mask, Y, 0.0)
+    if mask is None:
+        return Y
+    bits = np.negative(mask, dtype=np.int64)  # every bit set where mask holds
+    bits &= Y.view(np.int64)
+    return bits.view(np.float64)
 
 
 def _weighted(sigma2, Y, mask):
@@ -142,9 +150,9 @@ def _e_step_finish(prec_packed, rhs):
     inverse and mean cov_j C (w_j * y_j). The packed sums are unpacked
     once; the precisions are symmetric positive definite by construction
     and are factored by one batched Cholesky call, L_j L_j^T, giving
-    cov_j = L_j^-T L_j^-1. A precision that is not finite or not positive
-    definite raises NumericalError naming the first such feature. Returns
-    a :class:`GaussianState`.
+    cov_j = L_j^-T L_j^-1 and the state's :func:`_cov_terms`. A precision
+    that is not finite or not positive definite raises NumericalError
+    naming the first such feature. Returns a :class:`GaussianState`.
     """
     k = rhs.shape[0]
     prec = _unpack(prec_packed).transpose(2, 0, 1) + np.eye(k)
@@ -155,7 +163,7 @@ def _e_step_finish(prec_packed, rhs):
     chol_inv = np.linalg.inv(chol)
     cov = np.matmul(chol_inv.transpose(0, 2, 1), chol_inv)
     mean = np.matmul(cov, rhs.T[:, :, None])[:, :, 0]
-    return GaussianState(mean=mean, cov=cov)
+    return GaussianState(mean=mean, cov=cov, cov_terms=_cov_terms(chol_inv))
 
 
 def gaussian_m_step(state, C, Y, mask, alpha, beta):
@@ -168,12 +176,8 @@ def gaussian_m_step(state, C, Y, mask, alpha, beta):
 
         ((y - mean_j.c)^2 + c^T cov_j c + 2/beta) / (2 (alpha + 1) + 1)
 
-    Masked-out entries are pinned to the prior mode. Y must be finite
-    there (:func:`_observed` zeroes them), because they are pinned by the
-    in-place blend sigma2 * mask + prior * ~mask, which is exact only for
-    a finite sigma2 and costs less than np.where on a scattered mask. A
-    small floor keeps downstream divisions finite when a feature is fit
-    exactly.
+    Masked-out entries are pinned to the prior mode, then a small floor
+    keeps downstream divisions finite when a feature is fit exactly.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -185,8 +189,7 @@ def gaussian_m_step(state, C, Y, mask, alpha, beta):
     sigma2 += 2.0 / beta
     sigma2 /= 2.0 * (alpha + 1.0) + 1.0
     if mask is not None:
-        sigma2 *= mask
-        sigma2 += prior_mode_variance(alpha, beta) * ~mask
+        sigma2 = np.where(mask, sigma2, prior_mode_variance(alpha, beta))
     return np.maximum(sigma2, VARIANCE_FLOOR, out=sigma2)
 
 
@@ -243,15 +246,22 @@ def gaussian_entry_terms(sigma2, Y, mask, weights, alpha, beta):
     return float(total)
 
 
+def _cov_terms(root):
+    """The objective's terms of the covariances alone, sum_j (log det cov_j
+    - tr cov_j + K) / 2, from triangular roots (D1, K, K) with positive
+    diagonals, root_j^T root_j or root_j root_j^T = cov_j, or None."""
+    if root is None:
+        raise NumericalError("loading posterior covariance is not positive definite")
+    diagonals = np.diagonal(root, axis1=1, axis2=2)
+    return float(np.log(diagonals).sum() - 0.5 * np.einsum("jkl,jkl->", root, root)
+                 + 0.5 * diagonals.size)
+
+
 def gaussian_posterior_terms(state):
     """E_q[log N(u_j; 0, I)] + H(q_j) summed over the features: the
-    Gaussian objective's part that depends on the loading posteriors
-    alone (see :func:`gaussian_entry_terms`)."""
-    k = state.n_factors
-    sign, logdet = np.linalg.slogdet(state.cov)
-    if np.any(sign <= 0):
-        raise NumericalError("loading posterior covariance is not positive definite")
-    traces = np.trace(state.cov, axis1=1, axis2=2)
-    return float(np.sum(
-        -0.5 * (np.sum(state.mean**2, axis=1) + traces) + 0.5 * logdet + 0.5 * k
-    ))
+    Gaussian objective's part that depends on the loading posteriors alone
+    (see :func:`gaussian_entry_terms`). A state without cov_terms (a loaded
+    model's) gets them once, from its covariances' Cholesky factors."""
+    if state.cov_terms is None:
+        state.cov_terms = _cov_terms(_cholesky(state.cov))
+    return state.cov_terms - 0.5 * float(np.einsum("jk,jk->", state.mean, state.mean))

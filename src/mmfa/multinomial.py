@@ -9,7 +9,8 @@ covariance has the two-matrix structure
     Cov(stacked loadings) = I_{D2-1} (x) inv(precision) + 11^T (x) cross_cov
 
 so every update works in K x K space: nothing of size (D2-1)K is ever
-formed, and one EM sweep costs O(K^2 P + K P D2).
+formed, and one EM sweep costs O(K^2 P + K P D2). One batched Cholesky
+call gives all of it (:func:`_e_step_finish`).
 
 A fit's blocks hold their per-instance category arrays category-first,
 (D2-1, b): the expansion points psi = loading_mean^T C, the adjusted
@@ -92,6 +93,7 @@ class MultinomialState:
     cross_cov:    K x K correction shared by every pair of category blocks.
     loading_mean: K x (D2-1) posterior mean of the category loadings.
     expansion:    P x (D2-1) per-instance expansion points of the bound.
+    cov_terms:    :func:`_e_step_finish`'s, or None until first read.
     """
 
     n_categories: int
@@ -100,6 +102,7 @@ class MultinomialState:
     cross_cov: np.ndarray
     loading_mean: np.ndarray
     expansion: np.ndarray = field(default=None)
+    cov_terms: float = None
 
     @property
     def n_factors(self):
@@ -107,20 +110,6 @@ class MultinomialState:
 
     def curvature(self):
         return CurvatureMatrix(self.n_categories)
-
-
-def spd_solve(matrix, rhs, what="matrix"):
-    """Solve matrix x = rhs through one Cholesky factorization.
-
-    Both matrices the E-step factors have every eigenvalue >= 1, so a
-    failed or non-finite factor means the inputs overflowed: it raises
-    NumericalError.
-    """
-    chol = _cholesky(matrix)
-    if chol is None:
-        raise NumericalError(f"Cholesky factorization of the {what} failed")
-    chol_inv = np.linalg.inv(chol)
-    return chol_inv.T @ (chol_inv @ rhs)
 
 
 def _softmax(psi):
@@ -215,37 +204,48 @@ def _e_step_sums(C, trials, ztilde):
 def _e_step_finish(gram, cz, n_categories):
     """Closed-form approximate posterior of the category loadings from
     the sums of :func:`_e_step_sums`, gram = C diag(trials) C^T and
-    cz = C ztilde:
+    cz = C ztilde, with precision P = gram / 2 + I and d = D2-1:
 
-        precision  = gram / 2 + I
-        cross_cov  = (I - inv(precision)) / D2
-                     [inv(precision) + inv(precision/(D2-1) + I)(I - inv(precision))]
-        loading_mean = inv(precision) cz + cross_cov (row sums of cz) 1^T
+        cross_cov    = inv(P) (gram / 2) inv(S) / D2,  S = (P + d I) / D2
+        loading_mean = inv(P) cz + cross_cov (row sums of cz) 1^T
 
-    Solves go through Cholesky factorizations of the two SPD K x K
-    matrices (:func:`spd_solve`, which raises NumericalError when one
-    fails); the (D2-1)K-dimensional posterior is never materialized.
-    Returns a :class:`MultinomialState` without expansion points.
+    This cross_cov is (I - inv(P)) / D2 [inv(P) + inv(P/d + I)(I - inv(P))]
+    without its cancellations: in P's eigenbasis both are
+    (lam - 1) / (lam (lam + d)). The structured covariance has d-1 blocks
+    inv(P) and, along the ones direction, one block inv(P) + d cross_cov =
+    inv(S): its log det, -(d-1) log det P - log det S, and its trace,
+    (d-1) tr inv(P) + tr inv(S), give the state's cov_terms,
+    (log det - trace + d K) / 2. One batched Cholesky call on P and S gives
+    all of it, exact at zero sums (the prior); the (D2-1)K-dimensional
+    posterior is never materialized. A P that is not finite or not
+    positive definite raises NumericalError. Returns a
+    :class:`MultinomialState` without expansion points.
     """
     k = gram.shape[0]
+    d = n_categories - 1.0
     eye = np.eye(k)
     precision = 0.5 * gram + eye
-    precision_inv = spd_solve(precision, eye, "block precision")
-    residual = eye - precision_inv
-    inner = spd_solve(
-        precision / (n_categories - 1.0) + eye, residual, "shifted precision"
-    )
-    cross_cov = residual / n_categories @ (precision_inv + inner)
-    cross_cov = 0.5 * (cross_cov + cross_cov.T)
-
+    chol = _cholesky(np.array([precision, (precision + d * eye) / n_categories]))
+    if chol is None:
+        raise NumericalError("Cholesky factorization of the block precision failed")
+    chol_inv = np.linalg.inv(chol)
+    inverses = np.matmul(chol_inv.transpose(0, 2, 1), chol_inv)
+    half_logdets = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    traces = np.trace(inverses, axis1=1, axis2=2)
+    precision_inv = 0.5 * (inverses[0] + inverses[0].T)
+    cross_cov = inverses[0] @ (0.5 * gram) @ inverses[1] / n_categories
     loading_mean = precision_inv @ cz
     loading_mean += np.outer(cross_cov @ cz.sum(axis=1), np.ones(n_categories - 1))
     return MultinomialState(
         n_categories=n_categories,
         precision=precision,
-        precision_inv=0.5 * (precision_inv + precision_inv.T),
-        cross_cov=cross_cov,
+        precision_inv=precision_inv,
+        cross_cov=0.5 * (cross_cov + cross_cov.T),
         loading_mean=loading_mean,
+        cov_terms=float(
+            -(d - 1.0) * half_logdets[0] - half_logdets[1]
+            - 0.5 * ((d - 1.0) * traces[0] + traces[1] - d * k)
+        ),
     )
 
 
@@ -343,27 +343,12 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
 
 
 def multinomial_posterior_terms(state):
-    """The modality's objective part that depends on its posterior alone.
-
-    The full contribution is the expected bounded log-likelihood plus the
-    loading prior cross-entropy and posterior entropy, all evaluated with
-    the structured covariance. Its score-dependent part is
-    rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * :func:`score_base`
-    and rho_i = loading_mean ztilde_i, and each instance adds
-    -trials_i * offset_i with the bound offset of :func:`_bound_terms`
-    and the data-only :func:`log_multinomial_coefficient`; this returns
-    the prior cross-entropy and the posterior entropy.
-    """
-    k = state.n_factors
-    d = state.n_categories - 1
-    tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
-    total = -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
-    # log det of the structured covariance: (d-1) blocks of inv(precision)
-    # plus one block inv(precision) + d * cross_cov along the ones direction
-    sign, logdet_prec = np.linalg.slogdet(state.precision)
-    ones_block = state.precision_inv + d * state.cross_cov
-    sign2, logdet_ones = np.linalg.slogdet(ones_block)
-    if sign <= 0 or sign2 <= 0:
-        raise NumericalError("structured posterior covariance lost definiteness")
-    total += 0.5 * (-(d - 1) * logdet_prec + logdet_ones)
-    return float(total)
+    """The modality's objective part that depends on its posterior alone:
+    the loading prior cross-entropy and the posterior entropy,
+    -|loading_mean|^2 / 2 plus the state's cov_terms. A state without
+    them (a loaded model's) gets them once, from :func:`_e_step_finish`."""
+    mean = state.loading_mean
+    if state.cov_terms is None:
+        gram = 2.0 * (state.precision - np.eye(mean.shape[0]))
+        state.cov_terms = _e_step_finish(gram, mean, state.n_categories).cov_terms
+    return state.cov_terms - 0.5 * float(np.einsum("kd,kd->", mean, mean))

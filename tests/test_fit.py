@@ -501,7 +501,7 @@ class TestSquarem:
         walk = engine._walk
         walks, after_sums = [], []
 
-        def failing(data, model, log_coefficient, update):
+        def failing(data, model, log_coefficient, update, hook=None):
             # every walk without update after the first, which is trace[0]'s,
             # is the one for the sums at theta'
             sums_walk = not update and bool(walks)
@@ -511,7 +511,7 @@ class TestSquarem:
             if after_sums:
                 after_sums.clear()
                 raise NumericalError("injected")
-            result = walk(data, model, log_coefficient, update)
+            result = walk(data, model, log_coefficient, update, hook)
             if where == "map" and sums_walk:
                 after_sums.append(True)
             return result
@@ -531,6 +531,53 @@ class TestSquarem:
         assert surrogate_objective(model, data) == pytest.approx(
             model.objective_trace[-1], abs=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only"]
+    )
+    @pytest.mark.parametrize("mode", ["ridge", "nonnegative"])
+    def test_one_pass_per_map_evaluation_and_extrapolation(
+        self, monkeypatch, dataset, mode
+    ):
+        # the step length's norms ride on theta_2's map evaluation and
+        # theta' is formed in the walk for its sums: beyond trace[0]'s
+        # walk, a fit passes over the blocks once per map evaluation and
+        # once per extrapolation
+        passes = []
+        blocks_in_order = engine._blocks_in_order
+
+        def counting(p, step):
+            passes.append(p)
+            return blocks_in_order(p, step)
+
+        monkeypatch.setattr(engine, "_blocks_in_order", counting)
+        data = objective_datasets()[dataset]
+        model = fit(data, ModelSpec(n_factors=2, score_update=mode, tol=1e-9, seed=2))
+        assert model.extrapolations > 0
+        assert len(passes) == 1 + model.iterations_run + model.extrapolations
+
+    def test_non_finite_extrapolation_is_skipped(self, monkeypatch):
+        # a step length that overflows theta' in every block: no
+        # extrapolation is counted and the fit keeps exactly the plain EM
+        # iterates, theta_2's map evaluation following each attempt
+        extrapolation = engine._Squarem.extrapolation
+
+        def overflowing(self, nonnegative):
+            for start, shares in self.shares.items():
+                self.shares[start] = [(1e300, 1e-300)] * len(shares)
+            return extrapolation(self, nonnegative)
+
+        monkeypatch.setattr(engine._Squarem, "extrapolation", overflowing)
+        data = objective_datasets()["masked-two-block"]
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=30, seed=1)
+        with np.errstate(over="ignore"):
+            model = fit(data, spec)
+        assert model.iterations_run == 30
+        assert model.extrapolations == model.extrapolations_rejected == 0
+        plain = fit(data, replace(spec, accelerate=False))
+        assert model.objective_trace == plain.objective_trace
+        for got, want in zip(model_arrays(model), model_arrays(plain), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("max_iters", [3, 4, 5, 6, 31])
     def test_surrogate_reproduces_last_trace_entry(self, max_iters):

@@ -328,6 +328,50 @@ class TestKernelsMatchReference:
             np.testing.assert_array_equal(rho[1::4], 0.0)
 
 
+def slogdet_posterior_terms(state):
+    """The Gaussian objective's posterior terms as earlier versions
+    computed them, by slogdet of each covariance: an independent oracle."""
+    sign, logdet = np.linalg.slogdet(state.cov)
+    assert np.all(sign > 0)
+    traces = np.trace(state.cov, axis1=1, axis2=2)
+    return float(np.sum(
+        -0.5 * (np.sum(state.mean**2, axis=1) + traces) + 0.5 * logdet
+        + 0.5 * state.n_factors
+    ))
+
+
+class TestPosteriorTerms:
+    """The posterior terms come from the Cholesky factors the finish
+    already holds, with no slogdet."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("d1", [2, 6, 21])
+    def test_match_slogdet_oracle(self, k, d1):
+        rng = np.random.default_rng(100 * k + d1)
+        p = 60
+        state = e_step(
+            rng.standard_normal((k, p)), rng.uniform(0.2, 3.0, (p, d1)),
+            rng.standard_normal((p, d1)), rng.random((p, d1)) < 0.8,
+        )
+        want = slogdet_posterior_terms(state)
+        assert gmod.gaussian_posterior_terms(state) == pytest.approx(want, rel=1e-12)
+        # a state without terms (a loaded model's) computes them on first use
+        bare = GaussianState(mean=state.mean, cov=state.cov)
+        assert gmod.gaussian_posterior_terms(bare) == pytest.approx(want, rel=1e-12)
+        assert bare.cov_terms is not None
+
+    def test_zero_sums_give_the_prior(self):
+        state = gmod._e_step_finish(np.zeros((6, 4)), np.zeros((3, 4)))
+        np.testing.assert_array_equal(state.cov, np.broadcast_to(np.eye(3), (4, 3, 3)))
+        np.testing.assert_array_equal(state.mean, 0.0)
+        assert gmod.gaussian_posterior_terms(state) == 0.0
+
+    def test_indefinite_covariance_raises(self):
+        state = GaussianState(mean=np.zeros((1, 2)), cov=np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        with pytest.raises(NumericalError, match="positive definite"):
+            gmod.gaussian_posterior_terms(state)
+
+
 class TestPackedLayout:
     """The packed K(K+1)/2-column kernels against their dense K x K forms:
     the precision sums and the posteriors finished from them, the M-step's

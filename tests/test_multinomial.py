@@ -9,6 +9,7 @@ identity evaluated with the dense posterior.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from mmfa.multinomial import (
     _log_factorial,
     expected_bound_loglik,
     log_multinomial_coefficient,
+    multinomial_posterior_terms,
     score_base,
-    spd_solve,
 )
 
 
@@ -263,18 +264,95 @@ class TestEStep:
         [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
         ids=["inf", "nan", "indefinite"],
     )
-    def test_spd_solve_failure_is_numerical_error(self, matrix):
+    def test_e_step_finish_failure_is_numerical_error(self, matrix):
+        # gram / 2 + I is the given block precision
+        gram = 2.0 * (np.array(matrix) - np.eye(2))
         with pytest.raises(NumericalError, match="Cholesky"):
-            spd_solve(np.array(matrix), np.eye(2))
+            _e_step_finish(gram, np.zeros((2, 3)), 4)
 
-    def test_spd_solve_matches_dense_solve(self):
+    def test_e_step_finish_matches_dense_solve(self):
         rng = np.random.default_rng(8)
         M = rng.standard_normal((4, 6))
         matrix = M @ M.T + np.eye(4)
         rhs = rng.standard_normal((4, 3))
+        state = _e_step_finish(2.0 * M @ M.T, rhs, 4)
         np.testing.assert_allclose(
-            spd_solve(matrix, rhs), np.linalg.solve(matrix, rhs), rtol=1e-12
+            state.precision_inv @ rhs, np.linalg.solve(matrix, rhs), rtol=1e-12
         )
+        shifted = matrix / 3.0 + np.eye(4)
+        residual = np.eye(4) - np.linalg.solve(matrix, np.eye(4))
+        np.testing.assert_allclose(
+            state.cross_cov,
+            residual / 4.0 @ (np.linalg.inv(matrix) + np.linalg.solve(shifted, residual)),
+            rtol=1e-12,
+        )
+
+
+def two_cholesky_finish(gram, cz, d2):
+    """The finish of earlier versions, an independent oracle: inv(precision)
+    and the shifted solve through two Cholesky factorizations, and the
+    objective's posterior terms through two slogdet calls. Returns
+    (precision_inv, cross_cov, loading_mean, posterior terms)."""
+    k = gram.shape[0]
+    eye = np.eye(k)
+
+    def solve(matrix, rhs):
+        chol_inv = np.linalg.inv(np.linalg.cholesky(matrix))
+        return chol_inv.T @ (chol_inv @ rhs)
+
+    precision = 0.5 * gram + eye
+    precision_inv = solve(precision, eye)
+    residual = eye - precision_inv
+    inner = solve(precision / (d2 - 1.0) + eye, residual)
+    cross_cov = residual / d2 @ (precision_inv + inner)
+    cross_cov = 0.5 * (cross_cov + cross_cov.T)
+    mean = precision_inv @ cz + np.outer(cross_cov @ cz.sum(axis=1), np.ones(d2 - 1))
+    precision_inv = 0.5 * (precision_inv + precision_inv.T)
+    d = d2 - 1
+    sign, logdet_prec = np.linalg.slogdet(precision)
+    sign2, logdet_ones = np.linalg.slogdet(precision_inv + d * cross_cov)
+    assert sign > 0 and sign2 > 0
+    terms = (
+        -0.5 * (np.sum(mean**2) + d * (np.trace(precision_inv) + np.trace(cross_cov)))
+        + 0.5 * d * k + 0.5 * (-(d - 1) * logdet_prec + logdet_ones)
+    )
+    return precision_inv, cross_cov, mean, terms
+
+
+class TestFinishFactors:
+    """The factors of one batched Cholesky call give what two Cholesky
+    solves and two log-determinants gave before."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("d2", [2, 6, 21])
+    def test_matches_two_cholesky_oracle(self, k, d2):
+        rng = np.random.default_rng(100 * k + d2)
+        C, trials, counts, psi = random_instance(rng, k, 60, d2)
+        ztilde = adjusted_counts(counts, trials, psi, d2)
+        sums = _e_step_sums(C, trials, ztilde.T)
+        state = _e_step_finish(*sums, d2)
+        want = two_cholesky_finish(*sums, d2)
+        for got, ref in zip((state.precision_inv, state.cross_cov, state.loading_mean),
+                            want[:3]):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        assert multinomial_posterior_terms(state) == pytest.approx(want[3], rel=1e-12)
+
+    def test_state_without_terms_gets_the_same(self):
+        # a loaded model's states carry no cov_terms and compute them on
+        # first use, from the same factors
+        rng = np.random.default_rng(3)
+        C, trials, counts, psi = random_instance(rng, 3, 40, 5)
+        state = e_step(C, trials, adjusted_counts(counts, trials, psi, 5), 5)
+        bare = replace(state, cov_terms=None)
+        assert multinomial_posterior_terms(bare) == multinomial_posterior_terms(state)
+        assert bare.cov_terms == state.cov_terms
+
+    def test_zero_sums_give_the_prior(self):
+        state = _e_step_finish(np.zeros((3, 3)), np.zeros((3, 4)), 5)
+        np.testing.assert_array_equal(state.precision_inv, np.eye(3))
+        np.testing.assert_array_equal(state.cross_cov, np.zeros((3, 3)))
+        np.testing.assert_array_equal(state.loading_mean, np.zeros((3, 4)))
+        assert multinomial_posterior_terms(state) == 0.0
 
 
 class TestPsiUpdate:
