@@ -190,7 +190,7 @@ def _cmd_eval(args):
         if dataset.mask is None:
             raise DimensionMismatch(
                 "impute evaluation needs a manifest with a mask; hidden entries "
-                "are scored against the values stored in the data CSV"
+                "are scored against the values stored in the Gaussian matrix"
             )
         predictions = predict_gaussian(model, dataset)
         hidden = ~dataset.mask
@@ -350,7 +350,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="sample a dataset from the model")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("-o", "--output", required=True,
-                       help="output directory for manifest and CSVs")
+                       help="output directory for the manifest and its files")
     return parser
 
 

@@ -1,4 +1,12 @@
-"""On-disk dataset format: a JSON manifest referencing CSV matrices.
+"""On-disk dataset format: a JSON manifest referencing matrix files.
+
+Each matrix a manifest names is read by its file suffix: a ``.npy`` file
+(NumPy's own format) holds a 2-D little-endian float64 array, or a bool
+array for the mask; any other file is a CSV under one header row.
+:func:`save_dataset` writes the data matrices as ``.npy`` files, which
+round-trip bit for bit and are byte-identical across saves of equal
+data. Ground truth and labels stay CSV, and a user may write any matrix
+by hand as a CSV.
 
 All numeric CSV output is written with 17 significant digits (FLOAT_FORMAT)
 so values survive a write/read round trip exactly. Matrices are written a
@@ -48,6 +56,14 @@ def write_matrix_csv(path, matrix, columns):
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _check_columns(path, matrix, expected_cols):
+    if expected_cols is not None and matrix.shape[1] != expected_cols:
+        raise DimensionMismatch(
+            f"{path} has {matrix.shape[1]} columns, manifest declares {expected_cols}"
+        )
+    return matrix
+
+
 def read_matrix_csv(path, expected_cols=None):
     try:
         matrix = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
@@ -55,11 +71,36 @@ def read_matrix_csv(path, expected_cols=None):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise SchemaError(f"{path} is not a numeric CSV: {exc}") from exc
-    if expected_cols is not None and matrix.shape[1] != expected_cols:
-        raise DimensionMismatch(
-            f"{path} has {matrix.shape[1]} columns, manifest declares {expected_cols}"
+    return _check_columns(path, matrix, expected_cols)
+
+
+def _read_matrix(path, expected_cols, dtype):
+    """The matrix a manifest entry names: a ``.npy`` file holding a 2-D
+    array of exactly ``dtype`` (``<f8``, or ``bool`` for a mask), or, for
+    any other suffix, a CSV (for a bool matrix, True where above 0.5)."""
+    if not path.endswith(".npy"):
+        matrix = read_matrix_csv(path, expected_cols)
+        return matrix > 0.5 if dtype == bool else matrix
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not .npy, truncated, or objects to unpickle
+        raise SchemaError(f"{path} is not a .npy matrix: {exc}") from exc
+    if matrix.ndim != 2 or matrix.dtype != np.dtype(dtype):
+        raise SchemaError(
+            f"{path} must hold a 2-D {np.dtype(dtype)} array, "
+            f"not a {matrix.ndim}-D {matrix.dtype} array"
         )
-    return matrix
+    return _check_columns(path, matrix, expected_cols)
+
+
+def _write_npy(path, matrix, dtype):
+    """Write a matrix as a C-ordered .npy file of the given dtype, so equal
+    data gives equal bytes whatever the input's layout."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(matrix, dtype=dtype), allow_pickle=False)
 
 
 def load_manifest(path):
@@ -96,13 +137,13 @@ def load_dataset(manifest_path):
     mask = None
     if "gaussian" in doc:
         g = doc["gaussian"]
-        gaussian = read_matrix_csv(resolve(g["csv"]), g.get("d1"))
+        gaussian = _read_matrix(resolve(g["csv"]), g.get("d1"), "<f8")
         if g.get("mask_csv"):
-            mask = read_matrix_csv(resolve(g["mask_csv"]), g.get("d1")) > 0.5
+            mask = _read_matrix(resolve(g["mask_csv"]), g.get("d1"), bool)
     categoricals = []
     for entry in doc.get("categoricals", []):
         d2 = entry["d2"]
-        z_full = read_matrix_csv(resolve(entry["csv"]), d2)
+        z_full = _read_matrix(resolve(entry["csv"]), d2, "<f8")
         block = MultinomialData.from_full_counts(z_full)
         trials = entry.get("trials")
         if trials is not None and not np.all(block.trials == trials):
@@ -121,7 +162,9 @@ def load_dataset(manifest_path):
 
 
 def save_dataset(directory, dataset, ground_truth=None, labels=None):
-    """Write a dataset (and optional ground truth) as manifest + CSVs.
+    """Write a dataset as a manifest and .npy matrices: ``gaussian.npy``
+    (``<f8``), ``gaussian_mask.npy`` (``bool``) and ``cat_<m>.npy``
+    (``<f8`` full counts). Ground truth and labels go out as CSVs.
 
     ground_truth, when given, is a :class:`mmfa.synth.SyntheticData`;
     its latent matrices land next to the data so experiments can check
@@ -134,18 +177,15 @@ def save_dataset(directory, dataset, ground_truth=None, labels=None):
 
     doc = {"schema_version": MANIFEST_SCHEMA_VERSION, "instances": dataset.n_instances}
     if dataset.gaussian is not None:
-        d1 = dataset.n_gaussian
-        cols = [f"f{j}" for j in range(d1)]
-        write_matrix_csv(full("gaussian.csv"), dataset.gaussian, cols)
-        doc["gaussian"] = {"csv": "gaussian.csv", "d1": d1}
+        _write_npy(full("gaussian.npy"), dataset.gaussian, "<f8")
+        doc["gaussian"] = {"csv": "gaussian.npy", "d1": dataset.n_gaussian}
         if dataset.mask is not None:
-            write_matrix_csv(full("gaussian_mask.csv"), dataset.mask, cols)
-            doc["gaussian"]["mask_csv"] = "gaussian_mask.csv"
+            _write_npy(full("gaussian_mask.npy"), dataset.mask, bool)
+            doc["gaussian"]["mask_csv"] = "gaussian_mask.npy"
     doc["categoricals"] = []
     for m, block in enumerate(dataset.categoricals):
-        name = f"cat_{m}.csv"
-        cols = [f"c{j}" for j in range(block.n_categories)]
-        write_matrix_csv(full(name), block.full_counts(), cols)
+        name = f"cat_{m}.npy"
+        _write_npy(full(name), block.full_counts(), "<f8")
         entry = {"csv": name, "d2": block.n_categories}
         trials = np.unique(block.trials)
         if trials.size == 1:

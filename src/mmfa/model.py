@@ -23,6 +23,7 @@ from .multinomial import MultinomialState
 MODEL_SCHEMA_VERSION = 1
 
 SCORE_UPDATE_MODES = ("unconstrained", "ridge", "nonnegative")
+SIDECAR_CHUNK_VALUES = 1 << 18
 
 
 @dataclass
@@ -220,23 +221,37 @@ def save_model(model, path):
 
 
 def _read_array(entry, blob):
-    """One array of the manifest, read from the open sidecar blob straight
-    into its own buffer (no copy of the blob is held), or from the inline
-    values of a model written by an earlier version."""
+    """One array of the manifest, C-ordered: read from the open sidecar
+    blob straight into its result, or from the inline values of a model
+    written by an earlier version.
+
+    The blob holds the array column-major, so each slice of its last axis
+    is a contiguous run of bytes. The slices go through one buffer of
+    about SIDECAR_CHUNK_VALUES values (at least one slice), which bounds
+    what a load holds beyond the arrays it returns.
+    """
     shape = tuple(entry["shape"])
     if any(n < 0 for n in shape) or entry.get("offset", 0) < 0:
         raise SchemaError("array entry has a negative shape or offset")
-    count = int(np.prod(shape)) if shape else 1
     if "values" in entry:
         flat = np.asarray(entry["values"], dtype=float)
-        complete = flat.size == count
-    else:
-        flat = np.empty(count, dtype="<f8")
-        blob.seek(entry["offset"])
-        complete = blob.readinto(flat) == flat.nbytes
-    if not complete:
-        raise SchemaError("array payload does not match its declared shape")
-    return flat.reshape(shape, order="F").copy()
+        if flat.size != int(np.prod(shape)):
+            raise SchemaError("array payload does not match its declared shape")
+        return flat.reshape(shape, order="F").copy()
+    out = np.empty(shape, dtype="<f8")
+    slices = out.reshape(shape or (1,))  # a view; a 0-d array is one slice
+    inner, last = slices.shape[:-1], slices.shape[-1]
+    width = int(np.prod(inner))
+    step = max(1, SIDECAR_CHUNK_VALUES // max(width, 1))
+    buffer = np.empty(width * min(step, last), dtype="<f8")
+    blob.seek(entry["offset"])
+    for start in range(0, last, step):
+        n = min(step, last - start)
+        chunk = buffer[: width * n]
+        if blob.readinto(chunk) != chunk.nbytes:
+            raise SchemaError("array payload does not match its declared shape")
+        slices[..., start:start + n] = chunk.reshape(inner + (n,), order="F")
+    return out
 
 
 def _read_arrays(doc, path):

@@ -57,7 +57,7 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))
         second = tmp_path / "data2"
         assert main(["simulate", "--config", str(cfg_path), "-o", str(second)]) == 0
-        for name in ("manifest.json", "gaussian.csv", "cat_0.csv", "labels.csv"):
+        for name in ("manifest.json", "gaussian.npy", "cat_0.npy", "labels.csv"):
             assert (sim_dir / name).read_bytes() == (second / name).read_bytes()
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -197,9 +197,7 @@ class TestEval:
         assert code == 0
         doc = json.loads(out)
         assert float(doc["meta"]["mse_model"]) > 0
-        hidden = np.loadtxt(
-            sim_dir / "gaussian_mask.csv", delimiter=",", skiprows=1
-        ) < 0.5
+        hidden = ~np.load(sim_dir / "gaussian_mask.npy")
         assert len(doc["rows"]) == int(hidden.sum())
 
     def test_recall_runs(self, sim_dir, model_path, capsys):

@@ -1149,9 +1149,15 @@ class TestModelIO:
         with pytest.raises(mmfa.SchemaError, match="unreadable"):
             load_model(path)
 
-    def test_sidecar_load_reads_each_array_into_its_own_buffer(self, tmp_path):
+    def test_sidecar_load_reads_each_array_into_its_own_buffer(
+        self, tmp_path, monkeypatch
+    ):
         # the traced peak of a load holds the arrays it returns plus one
-        # array in flight, not a copy of the whole blob
+        # chunk in flight, here one 14000-value column: not a copy of the
+        # whole blob, nor a second copy of the largest array
+        import mmfa.model as model_module
+
+        monkeypatch.setattr(model_module, "SIDECAR_CHUNK_VALUES", 1 << 12)
         cfg = GeneratorConfig(
             n_factors=2, n_instances=14000, n_gaussian=6, n_categories=(4,),
             n_trials=2, seed=2,
@@ -1172,7 +1178,25 @@ class TestModelIO:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.noise_variance, model.noise_variance)
-        assert peak <= sum(sizes) + max(sizes) + 64 * 1024, (peak, sum(sizes))
+        assert peak <= sum(sizes) + 14000 * 8 + 64 * 1024, (peak, sum(sizes))
+
+    @pytest.mark.parametrize("chunk_values", [1, 7, 1 << 16])
+    def test_sidecar_chunks_load_bitwise_and_c_ordered(
+        self, tmp_path, monkeypatch, chunk_values
+    ):
+        import mmfa.model as model_module
+
+        monkeypatch.setattr(model_module, "SIDECAR_CHUNK_VALUES", chunk_values)
+        synth = small_dataset(seed=4, p=23, with_missing=True)
+        model = fit(synth.dataset, ModelSpec(n_factors=3, max_iters=3, seed=2))
+        loaded = self._roundtrip(model, tmp_path)
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got.flags.c_contiguous
+        blob = tmp_path / "model.mmfa.bin"
+        blob.write_bytes(blob.read_bytes()[:-12])
+        with pytest.raises(mmfa.SchemaError, match="payload"):
+            load_model(tmp_path / "model.mmfa")
 
     def test_version_mismatch_refused(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
