@@ -22,9 +22,8 @@ import numpy as np
 
 from .engine import _blas_threads, _one_blas_thread
 from .errors import NumericalError
-from .expfam import softmax_pivot
 from .gaussian import _cholesky
-from .multinomial import _log_factorial
+from .multinomial import _log_factorial, _probabilities
 
 _BLOCK = 256  # replicate block size for the cross-likelihood reductions
 
@@ -123,13 +122,17 @@ def multinomial_fisher_mc(
     r = _replicate_count(n_replicates)
     if n_trials < 1 or d < 2:
         raise ValueError("need at least one trial and two categories")
+    inputs = (("c", c), ("loading_mean", loading_mean), ("loading_var", loading_var))
+    for name, value in inputs:
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} contains non-finite entries")
     rng = np.random.default_rng(seed)
 
     V = math.sqrt(loading_var) * rng.standard_normal((r, k, d - 1))
     if loading_mean is not None:
         V += np.asarray(loading_mean, dtype=float)
     eta = np.einsum("rkd,k->rd", V, c)
-    probs = softmax_pivot(eta)  # (R, D)
+    probs = _probabilities(eta.T)  # (R, D)
     counts = rng.multinomial(int(n_trials), probs)  # (R, D)
 
     # 0 log 0 = 0: a zero probability contributes nothing to the GEMM, and
@@ -377,7 +380,7 @@ def mse_experiment(config):
                 cov=None,
                 noise_variance=config.noise_variance,
             )
-            probs = softmax_pivot(V.T @ c_true)[:-1]  # non-pivot categories
+            probs = _probabilities((V.T @ c_true)[:, None])[0, :-1]  # non-pivot
             f_m = config.n_trials * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
             crlb_totals.append(_trace_inverse(f_g + f_m))
             crlb_gauss.append(_trace_inverse(f_g))

@@ -30,7 +30,6 @@ from .engine import (
     solve_scores_batch,
 )
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
-from .expfam import softmax_pivot
 
 INNER_MAX_ITERS = 50
 INNER_TOL = 1e-8
@@ -458,12 +457,13 @@ def impute(model, data, i, j):
 
 
 def category_probabilities(model, data, i, modality):
-    """Predicted category distribution of one categorical modality."""
+    """Predicted distribution over all D categories of one categorical
+    modality, the pivot's last."""
     if not 0 <= modality < len(model.categoricals):
         raise ValueError(f"no categorical modality {modality}")
     score = score_instance(model, data, i)
     state = model.categoricals[modality]
-    return softmax_pivot(state.loading_mean.T @ score.scores)
+    return mmod._probabilities((state.loading_mean.T @ score.scores)[:, None])[0]
 
 
 def recall_at_k(

@@ -15,9 +15,9 @@ call gives all of it (:func:`_e_step_finish`).
 A fit's blocks hold their per-instance category arrays category-first,
 (D2-1, b): the expansion points psi = loading_mean^T C, the adjusted
 counts and the bound's terms (:func:`_bound_terms`), so that every
-reduction over the categories adds contiguous rows of b instances. The
-public :func:`adjusted_counts` and :func:`psi_update`, and the
-expansion points a model stores, keep the (P, D2-1) layout.
+reduction over the categories adds contiguous rows of b instances.
+:func:`psi_update` and the expansion points a model stores keep the
+(P, D2-1) layout.
 """
 
 import math
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .expfam import CurvatureMatrix
 from .gaussian import _cholesky
 
 
@@ -108,9 +107,6 @@ class MultinomialState:
     def n_factors(self):
         return self.precision.shape[0]
 
-    def curvature(self):
-        return CurvatureMatrix(self.n_categories)
-
 
 def _softmax(psi):
     """softmax(psi) over the non-pivot categories and lse(psi), for
@@ -129,6 +125,17 @@ def _softmax(psi):
     return probs, lse
 
 
+def _probabilities(psi):
+    """The probabilities of all D categories at log-odds psi (D-1, b),
+    one row per instance with the pivot's last: (b, D), C-ordered. The
+    pivot's is exp(-lse(psi))."""
+    probs, lse = _softmax(psi)
+    out = np.empty((psi.shape[1], psi.shape[0] + 1))
+    out[:, :-1] = probs.T
+    out[:, -1] = np.exp(-lse)
+    return out
+
+
 def _bound_terms(counts, trials, psi, offsets=False):
     """The quadratic bound's terms at expansion points psi, category-first.
 
@@ -140,7 +147,12 @@ def _bound_terms(counts, trials, psi, offsets=False):
 
     (D-1, b), and with offsets also the bound's remainder that does not
     depend on the log-odds, lse(psi_i) - psi_i^T softmax(psi_i)
-    + psi_i^T A psi_i / 2, (b,): (ztilde, offset). With zero trials the
+    + psi_i^T A psi_i / 2, (b,): (ztilde, offset). A = (I - 11^T / D) / 2
+    is Bohning's fixed curvature: it dominates the Hessian of lse, so
+
+        lse(psi) + (eta - psi)^T softmax(psi) + (eta - psi)^T A (eta - psi) / 2
+
+    is >= lse(eta), with equality at eta = psi. With zero trials the
     counts pass through. A non-finite psi raises ValueError. The one
     (D-1, b) array it allocates becomes ztilde.
     """
@@ -164,32 +176,6 @@ def _bound_terms(counts, trials, psi, offsets=False):
     work *= 0.5 * trials
     ztilde = np.subtract(counts, work, out=work)
     return (ztilde, offset) if offsets else ztilde
-
-
-def adjusted_counts(counts, trials, expansion, n_categories, return_offset=False):
-    """Counts shifted by the expansion-point terms of the quadratic bound.
-
-    ztilde_i = z_i - N_i (softmax(psi_i) - A psi_i), restricted to the
-    non-pivot categories, for counts and expansion points psi of shape
-    (P, D-1). With zero trials the counts pass through. With
-    return_offset, also returns the bound's remainder that does not
-    depend on the log-odds, lse(psi_i) - psi_i^T softmax(psi_i)
-    + psi_i^T A psi_i / 2, from the same softmax: (ztilde, offset). The
-    fit computes the same terms category-first (:func:`_bound_terms`).
-    """
-    counts = np.asarray(counts, dtype=float)
-    expansion = np.asarray(expansion, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    if counts.shape != expansion.shape:
-        raise DimensionMismatch(
-            f"counts {counts.shape} vs expansion points {expansion.shape}"
-        )
-    if expansion.shape[-1] != CurvatureMatrix(n_categories).dim:
-        raise DimensionMismatch(
-            f"vector length {expansion.shape[-1]} does not match {n_categories - 1}"
-        )
-    terms = _bound_terms(counts.T, trials, expansion.T, return_offset)
-    return (terms[0].T, terms[1]) if return_offset else terms.T
 
 
 def _e_step_sums(C, trials, ztilde):
@@ -268,13 +254,13 @@ def score_base(state):
     matrix; it combines the curvature trace terms with the posterior
     mean's own quadratic contribution.
     """
-    curv = state.curvature()
     phi = state.loading_mean
     phi_rows = phi.sum(axis=1)
     d2 = state.n_categories
+    # tr A and 1^T A 1 of the curvature A = (I - 11^T / D2) / 2
     return (
-        curv.trace() * state.precision_inv
-        + curv.ones_quad() * state.cross_cov
+        (d2 - 1) ** 2 / (2.0 * d2) * state.precision_inv
+        + (d2 - 1) / (2.0 * d2) * state.cross_cov
         + 0.5 * phi @ phi.T
         - np.outer(phi_rows, phi_rows) / (2.0 * d2)
     )

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import HeteroDataset
-from .expfam import softmax_pivot
-from .multinomial import MultinomialData
+from .multinomial import MultinomialData, _probabilities
 
 OUTLIER_MECHANISMS = ("cross_modal",)
 
@@ -89,8 +88,7 @@ def sample_dataset(config):
     trials = config.trials_array()
     categoricals = []
     for vm in V:
-        probs = softmax_pivot(C.T @ vm)
-        z_full = rng.multinomial(trials, probs)
+        z_full = rng.multinomial(trials, _probabilities((C.T @ vm).T))
         categoricals.append(MultinomialData.from_full_counts(z_full))
 
     synth = SyntheticData(

@@ -14,29 +14,36 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
 from mmfa import (
-    CurvatureMatrix,
     GeneratorConfig,
     ModelSpec,
     fit,
-    inject_outliers,
     instance_log_likelihoods,
-    multinomial_fisher_mc,
     predict_gaussian,
     recall_at_k,
     sample_dataset,
     select_k,
-    softmax_pivot,
 )
 from mmfa import gaussian as gmod
 from mmfa import multinomial as mmod
 from mmfa.cli import _rank_auc
-from mmfa.fisher import MseExperimentConfig, gaussian_fisher, mse_experiment
+from mmfa.fisher import (
+    MseExperimentConfig,
+    gaussian_fisher,
+    mse_experiment,
+    multinomial_fisher_mc,
+)
 from mmfa.inference import predictive_log_likelihood
-from mmfa.multinomial import adjusted_counts
+from mmfa.synth import inject_outliers
+from oracles import (
+    bohning_bound,
+    bound_terms,
+    dense_curvature,
+    pivot_lse,
+    pivot_softmax,
+)
 
 
 def report(criterion, ok, detail):
@@ -97,10 +104,10 @@ def test_a2_structured_posterior_equals_dense():
             [rng.multinomial(int(n), pr) for n, pr in zip(trials, probs)]
         ).astype(float)
         psi = 0.5 * rng.standard_normal((p, d2 - 1))
-        ztilde = adjusted_counts(z_full[:, :-1], trials, psi, d2)
+        ztilde = bound_terms(z_full[:, :-1], trials, psi)
         state = mmod._e_step_finish(*mmod._e_step_sums(C, trials, ztilde.T), d2)
 
-        A = CurvatureMatrix(d2).dense()
+        A = dense_curvature(d2)
         dim = (d2 - 1) * k
         prec = np.eye(dim)
         rhs = np.zeros(dim)
@@ -125,22 +132,10 @@ def test_a2_structured_posterior_equals_dense():
 def test_a3_bound_property_suite():
     """10^4 random triples: bound dominates lse, is tight at the expansion
     point, and its gradient matches central finite differences. The bound
-    is the one the fit forms: with no counts and one trial,
-    adjusted_counts gives (ztilde, offset), and
-    bound(eta; psi) = offset - eta^T ztilde + eta^T A eta / 2."""
-
-    def bohning_bound(eta, psi):
-        d2 = psi.shape[-1] + 1
-        ztilde, offset = adjusted_counts(
-            np.zeros_like(psi), np.ones(len(psi)), psi, d2, return_offset=True
-        )
-        quad = CurvatureMatrix(d2).quad(eta)
-        return offset - np.sum(eta * ztilde, axis=-1) + 0.5 * quad
-
-    def lse(eta):
-        pivot = np.zeros((len(eta), 1))
-        return logsumexp(np.concatenate([eta, pivot], axis=1), axis=1)
-
+    is the one the fit forms: with no counts and one trial, its kernel
+    gives (ztilde, offset), and
+    bound(eta; psi) = offset - eta^T ztilde + eta^T A eta / 2
+    (oracles.bohning_bound)."""
     rng = np.random.default_rng(303)
     n = 10_000
     min_gap = np.inf
@@ -151,14 +146,14 @@ def test_a3_bound_property_suite():
         rows = n // 9
         eta = rng.uniform(-6, 6, size=(rows, d2 - 1))
         psi = rng.uniform(-6, 6, size=(rows, d2 - 1))
-        gap = bohning_bound(eta, psi) - lse(eta)
+        gap = bohning_bound(eta, psi) - pivot_lse(eta)
         min_gap = min(min_gap, gap.min())
         max_equality_error = max(
-            max_equality_error, np.abs(bohning_bound(eta, eta) - lse(eta)).max()
+            max_equality_error, np.abs(bohning_bound(eta, eta) - pivot_lse(eta)).max()
         )
         # gradient of the bound in eta at psi is softmax(psi); check by
         # finite differences of the bound itself
-        probs = softmax_pivot(psi)[:, :-1]
+        probs = pivot_softmax(psi)[:, :-1]
         for d in range(d2 - 1):
             step = np.zeros(d2 - 1)
             step[d] = h
@@ -255,7 +250,7 @@ def test_a6_fisher_oracle_and_additivity():
     k, d2, n = 3, 5, 40
     c = rng.standard_normal(k)
     V = rng.standard_normal((k, d2 - 1))
-    probs = softmax_pivot(V.T @ c)[:-1]
+    probs = pivot_softmax(V.T @ c)[:-1]
     analytic = n * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
     mc = multinomial_fisher_mc(
         c, n_trials=n, n_categories=d2, n_replicates=5000, seed=660,
@@ -272,7 +267,7 @@ def test_a6_fisher_oracle_and_additivity():
             noise_variance=float(rng.uniform(0.3, 3.0)),
         )
         Vm = rng.standard_normal((kk, 4))
-        pm = softmax_pivot(Vm.T @ cc)[:-1]
+        pm = pivot_softmax(Vm.T @ cc)[:-1]
         f_m = 10 * Vm @ (np.diag(pm) - np.outer(pm, pm)) @ Vm.T
         eps = 1e-10 * np.eye(kk)
         total = np.trace(np.linalg.inv(f_g + f_m + eps))

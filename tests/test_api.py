@@ -1,12 +1,40 @@
-"""Public API surface: every exported name resolves, and the README's
-library example imports."""
+"""Public API surface: exactly the names the README and the CLI use and
+the types of their arguments and results, every one resolving, and the
+README's library example imports."""
 
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import mmfa
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = {
+    # types of the calls' arguments and results
+    "AnomalyVerdict", "FisherResult", "FittedModel", "GaussianState",
+    "GeneratorConfig", "HeteroDataset", "InstanceScore", "ModelSpec",
+    "MseExperimentConfig", "MultinomialData", "MultinomialState", "SyntheticData",
+    # errors
+    "DimensionMismatch", "MmfaError", "NumericalError", "SchemaError",
+    "UndefinedMetricError", "UndefinedScoreError",
+    # calls
+    "anomaly_detect", "category_probabilities", "crlb", "fit", "impute",
+    "instance_log_likelihoods", "load_model", "mse_experiment", "predict_gaussian",
+    "recall_at_k", "sample_dataset", "save_model", "score_dataset", "score_instance",
+    "select_k",
+}
+
+
+def test_all_is_the_public_surface():
+    assert set(mmfa.__all__) == PUBLIC
+
+
+def test_expfam_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("mmfa.expfam")
 
 
 def test_all_names_resolve():

@@ -1,27 +1,16 @@
-"""Exponential-family primitive tests: exact values, bound properties,
-and the matrix-free curvature product against a dense oracle."""
+"""Exponential-family primitives as the fit and the scoring paths run them:
+lse and the Bohning bound through the bound kernel
+(multinomial._bound_terms), the pivoted softmax through
+multinomial._probabilities, and the curvature A through the kernel's
+product and score_base, against exact values and dense oracles."""
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
-from mmfa import CurvatureMatrix, DimensionMismatch, adjusted_counts, softmax_pivot
-
-
-def bohning_bound(eta, psi):
-    """The bound on lse(eta) around psi as the fit forms it: with no counts
-    and one trial, adjusted_counts gives (ztilde, offset), and the bound is
-    offset - eta^T ztilde + eta^T A eta / 2. One vector or a batch of rows."""
-    eta, psi = np.asarray(eta, dtype=float), np.asarray(psi, dtype=float)
-    rows = np.atleast_2d(psi)
-    d2 = rows.shape[-1] + 1
-    ztilde, offset = adjusted_counts(
-        np.zeros_like(rows), np.ones(len(rows)), rows, d2, return_offset=True
-    )
-    quad = CurvatureMatrix(d2).quad(eta)
-    value = offset - np.sum(eta * ztilde, axis=-1) + 0.5 * quad
-    return value if psi.ndim > 1 else value[0]
+from mmfa import MultinomialState
+from mmfa import multinomial as mmod
+from oracles import bohning_bound, bound_terms, dense_curvature, pivot_lse
 
 
 def lse(eta):
@@ -30,11 +19,19 @@ def lse(eta):
     return bohning_bound(eta, eta)
 
 
-def reference_lse(eta):
-    """log(1 + sum(exp(eta))) by scipy, over [eta, 0]."""
-    eta = np.asarray(eta, dtype=float)
-    pivot = np.zeros(eta.shape[:-1] + (1,))
-    return logsumexp(np.concatenate([eta, pivot], axis=-1), axis=-1)
+def softmax_pivot(eta):
+    """All D probabilities of one log-odds vector as the program's callers
+    take them: multinomial._probabilities of a one-instance column."""
+    return mmod._probabilities(np.asarray(eta, dtype=float)[:, None])[0]
+
+
+def kernel_curvature_product(v):
+    """A v along the last axis as the bound kernel forms it: with no counts
+    and one trial, ztilde = -(softmax(v) - A v), so A v = ztilde + softmax(v)."""
+    rows = np.atleast_2d(np.asarray(v, dtype=float))
+    ztilde = bound_terms(np.zeros_like(rows), np.ones(len(rows)), rows)
+    product = ztilde + mmod._probabilities(rows.T)[:, :-1]
+    return product if np.ndim(v) > 1 else product[0]
 
 
 class TestLse:
@@ -105,16 +102,14 @@ class TestSoftmaxPivot:
             for d in range(4):
                 step = np.zeros(4)
                 step[d] = h
-                numeric = (
-                    reference_lse(psi + step) - reference_lse(psi - step)
-                ) / (2 * h)
+                numeric = (pivot_lse(psi + step) - pivot_lse(psi - step)) / (2 * h)
                 assert grad[d] == pytest.approx(numeric, abs=1e-6)
 
 
 class TestBohningBound:
     def test_equality_at_expansion_point(self):
         eta = np.array([0.3, -1.2])
-        assert bohning_bound(eta, eta) == pytest.approx(reference_lse(eta), abs=1e-15)
+        assert bohning_bound(eta, eta) == pytest.approx(pivot_lse(eta), abs=1e-15)
 
     def test_two_category_hand_value(self):
         # lse(0) + 0.5 * 1 + 0.5 * 0.25 * 1
@@ -127,45 +122,72 @@ class TestBohningBound:
             d2 = int(rng.integers(2, 11))
             eta = rng.uniform(-6, 6, size=d2 - 1)
             psi = rng.uniform(-6, 6, size=d2 - 1)
-            assert bohning_bound(eta, psi) >= reference_lse(eta) - 1e-12
+            assert bohning_bound(eta, psi) >= pivot_lse(eta) - 1e-12
 
 
 class TestCurvatureMatrix:
+    """The curvature A where the program uses it: its product inside the
+    bound kernel, and its trace and all-ones form inside score_base."""
+
     def test_two_categories_scalar_quarter(self):
-        curv = CurvatureMatrix(2)
-        np.testing.assert_allclose(curv.apply(np.array([4.0])), [1.0], atol=1e-15)
+        np.testing.assert_allclose(kernel_curvature_product([4.0]), [1.0], atol=1e-15)
 
     def test_three_categories(self):
-        curv = CurvatureMatrix(3)
         np.testing.assert_allclose(
-            curv.apply(np.array([1.0, 1.0])), [1.0 / 6.0, 1.0 / 6.0], atol=1e-15
+            kernel_curvature_product([1.0, 1.0]), [1.0 / 6.0, 1.0 / 6.0], atol=1e-15
         )
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(5)
-        curv = CurvatureMatrix(8)
-        dense = curv.dense()
+        dense = dense_curvature(8)
         for _ in range(25):
             v = rng.standard_normal(7)
-            np.testing.assert_allclose(curv.apply(v), dense @ v, atol=1e-14)
+            np.testing.assert_allclose(
+                kernel_curvature_product(v), dense @ v, atol=1e-14
+            )
 
     def test_positive_semidefinite_and_trace(self):
         rng = np.random.default_rng(9)
         for d2 in range(2, 12):
-            curv = CurvatureMatrix(d2)
-            assert curv.trace() == pytest.approx((d2 - 1) ** 2 / (2 * d2), abs=0)
-            eigs = np.linalg.eigvalsh(curv.dense())
+            # at inv(P) = I and no other term, score_base is tr(A) I
+            eye, zero = np.eye(2), np.zeros((2, 2))
+            state = MultinomialState(d2, eye, eye, zero, np.zeros((2, d2 - 1)))
+            np.testing.assert_array_equal(
+                mmod.score_base(state), (d2 - 1) ** 2 / (2 * d2) * eye
+            )
+            eigs = np.linalg.eigvalsh(dense_curvature(d2))
             assert eigs.min() >= -1e-14
             for _ in range(20):
                 v = rng.standard_normal(d2 - 1)
-                assert curv.quad(v) >= -1e-14
+                assert v @ kernel_curvature_product(v) >= -1e-14
 
     def test_known_eigenvalues(self):
         d2 = 6
-        eigs = np.sort(np.linalg.eigvalsh(CurvatureMatrix(d2).dense()))
+        # the kernel's product of each unit vector: A's columns
+        eigs = np.sort(np.linalg.eigvalsh(kernel_curvature_product(np.eye(d2 - 1))))
         np.testing.assert_allclose(eigs[0], 1.0 / (2 * d2), atol=1e-12)
         np.testing.assert_allclose(eigs[1:], 0.5, atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            CurvatureMatrix(4).apply(np.zeros(5))
+    def test_score_base_matches_dense_formula(self):
+        # tr(A) inv(P) + 1^T A 1 cross_cov + M M^T / 2 - (M 1)(M 1)^T / 2D
+        rng = np.random.default_rng(12)
+        k = 3
+        for d2 in range(2, 12):
+            G = rng.standard_normal((k, k))
+            precision = G @ G.T + np.eye(k)
+            cross = rng.standard_normal((k, k))
+            M = rng.standard_normal((k, d2 - 1))
+            state = MultinomialState(
+                d2, precision, np.linalg.inv(precision), cross + cross.T, M
+            )
+            A = dense_curvature(d2)
+            rows = M.sum(axis=1)
+            want = (
+                np.trace(A) * state.precision_inv
+                + A.sum() * state.cross_cov
+                + 0.5 * M @ M.T
+                - np.outer(rows, rows) / (2 * d2)
+            )
+            np.testing.assert_allclose(
+                mmod.score_base(state), want, rtol=1e-13, atol=1e-14
+            )

@@ -12,20 +12,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
-from mmfa import (
-    GeneratorConfig,
-    NumericalError,
-    crlb,
-    gaussian_fisher,
-    multinomial_fisher_mc,
-    sample_dataset,
-)
-from mmfa.expfam import softmax_pivot
+from mmfa import GeneratorConfig, NumericalError, crlb, sample_dataset
 from mmfa.fisher import (
     MseExperimentConfig,
     aligned_score_mse,
+    gaussian_fisher,
     mse_experiment,
+    multinomial_fisher_mc,
 )
+from mmfa.multinomial import _probabilities
+from oracles import pivot_softmax
 
 CRLB_EXAMPLE = json.loads(
     (Path(__file__).parents[1] / "configs" / "crlb-example.json").read_text()
@@ -35,7 +31,7 @@ CRLB_EXAMPLE = json.loads(
 def conditional_multinomial_fisher(c, V, n_trials):
     """Closed form at known loadings: V N (diag(p) - p p^T) V^T over the
     non-pivot categories."""
-    probs = softmax_pivot(V.T @ c)[:-1]
+    probs = pivot_softmax(V.T @ c)[:-1]
     return n_trials * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
 
 
@@ -45,12 +41,13 @@ def whole_matrix_fisher(c, n_trials, n_categories, n_replicates, seed, xlogy_for
 
     xlogy_form False is that estimator's own arithmetic, counts @ log(p)^T
     with NaN entries dropped to -inf; True scores each entry with
-    sum_d xlogy(z_rd, p_sd), the 0 log 0 = 0 convention.
+    sum_d xlogy(z_rd, p_sd), the 0 log 0 = 0 convention. The probabilities
+    are the estimator's own, so that the two agree to the bit.
     """
     k, d, r = len(c), n_categories, n_replicates
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((r, k, d - 1))
-    probs = softmax_pivot(np.einsum("rkd,k->rd", V, c))
+    probs = _probabilities(np.einsum("rkd,k->rd", V, c).T)
     counts = rng.multinomial(n_trials, probs)
     if xlogy_form:
         loglik = xlogy(counts[:, None, :], probs[None, :, :]).sum(axis=-1)
@@ -276,6 +273,24 @@ class TestCrlb:
         assert result.crlb_gaussian == pytest.approx(4.0, rel=1e-12)
         assert result.crlb_gaussian == pytest.approx(result.crlb, rel=1e-12)
         assert result.crlb_multinomial == np.inf  # no multinomial block
+
+    @pytest.mark.parametrize(
+        "argument, c, block",
+        [
+            ("c", [np.nan, 0.0], {}),
+            ("c", [np.inf, 0.0], {}),
+            ("loading_mean", [1.0, 0.5], {"loading_mean": [[np.inf, 0.0], [0.0, 1.0]]}),
+            ("loading_var", [1.0, 0.5], {"loading_var": np.nan}),
+        ],
+        ids=["nan-c", "inf-c", "inf-loading-mean", "nan-loading-var"],
+    )
+    def test_non_finite_input_names_the_argument(self, argument, c, block):
+        # each arrives from a user's config through `mmfa crlb`
+        with pytest.raises(ValueError, match=f"^{argument} contains non-finite"):
+            crlb(
+                np.array(c), multinomial={"n_trials": 10, "n_categories": 3, **block},
+                n_replicates=50,
+            )
 
     def test_singular_combined_fisher_raises(self):
         with pytest.raises(NumericalError):

@@ -25,11 +25,10 @@ from mmfa import (
     sample_dataset,
     save_model,
     select_k,
-    surrogate_objective,
 )
 from mmfa import engine, inference
 from mmfa import multinomial as mmod
-from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch
+from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch, surrogate_objective
 
 
 def model_arrays(model):

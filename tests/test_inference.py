@@ -20,7 +20,6 @@ from mmfa import (
     fit,
     impute,
     instance_log_likelihoods,
-    predictive_log_likelihood,
     recall_at_k,
     sample_dataset,
     score_dataset,
@@ -29,8 +28,13 @@ from mmfa import (
 from mmfa import engine
 from mmfa import gaussian as gmod
 from mmfa.engine import score_system, solve_scores_batch
-from mmfa.multinomial import adjusted_counts
-from mmfa.inference import INNER_TOL, anomaly_threshold, predict_gaussian
+from mmfa.inference import (
+    INNER_TOL,
+    anomaly_threshold,
+    predict_gaussian,
+    predictive_log_likelihood,
+)
+from oracles import bound_terms, dense_curvature, pivot_softmax
 
 
 def fitted_bimodal(seed=0, p=60, tol=1e-12, max_iters=400):
@@ -163,9 +167,8 @@ class TestSharedScoreSystem:
         H, rho = score_system(
             data, model.gaussian, weights, model.categoricals,
             [
-                adjusted_counts(
-                    block.counts, block.trials, state.expansion, block.n_categories
-                ).T  # category-first, as the fit passes it
+                # category-first, as the fit passes it
+                bound_terms(block.counts, block.trials, state.expansion).T
                 for block, state in zip(data.categoricals, model.categoricals)
             ],
         )
@@ -235,7 +238,7 @@ def profiled_objective(model, data, C):
     for state, block in zip(model.categoricals, data.categoricals):
         psi = C.T @ state.loading_mean
         lse = np.logaddexp.reduce(np.c_[psi, np.zeros(len(psi))], axis=1)
-        A = state.curvature().dense()
+        A = dense_curvature(state.n_categories)
         # trace of A times the loading covariance of the log-odds
         spread = np.trace(A) * state.precision_inv + A.sum() * state.cross_cov
         g += (
@@ -602,11 +605,9 @@ class TestCategoryProbabilities:
 
     def test_matches_manual_softmax_composition(self):
         synth, model = fitted_bimodal(seed=16, p=30, tol=1e-6, max_iters=60)
-        from mmfa import softmax_pivot
-
         i = 4
         score = score_instance(model, synth.dataset, i)
-        expected = softmax_pivot(model.categoricals[0].loading_mean.T @ score.scores)
+        expected = pivot_softmax(model.categoricals[0].loading_mean.T @ score.scores)
         got = category_probabilities(model, synth.dataset, i, 0)
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)

@@ -13,17 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from mmfa import (
-    CurvatureMatrix,
-    HeteroDataset,
-    MultinomialData,
-    NumericalError,
-    adjusted_counts,
-    psi_update,
-    softmax_pivot,
-)
+from mmfa import HeteroDataset, MultinomialData, NumericalError
 from mmfa import multinomial as mmod
 from mmfa.engine import score_system
 from mmfa.multinomial import (
@@ -33,21 +25,16 @@ from mmfa.multinomial import (
     expected_bound_loglik,
     log_multinomial_coefficient,
     multinomial_posterior_terms,
+    psi_update,
     score_base,
 )
+from oracles import bound_terms, dense_curvature, pivot_lse, pivot_softmax
 
 
 def e_step(C, trials, ztilde, d2):
     """The category loading posterior as a fit finishes it from one
-    block's sums; ztilde (P, D2-1) as adjusted_counts returns it."""
+    block's sums; ztilde (P, D2-1) as oracles.bound_terms returns it."""
     return _e_step_finish(*_e_step_sums(C, trials, ztilde.T), d2)
-
-
-def lse(eta):
-    """log(1 + sum(exp(eta))) by scipy, over [eta, 0]."""
-    eta = np.asarray(eta, dtype=float)
-    pivot = np.zeros(eta.shape[:-1] + (1,))
-    return logsumexp(np.concatenate([eta, pivot], axis=-1), axis=-1)
 
 
 def multinomial_score_terms(state, ztilde, trials):
@@ -73,7 +60,7 @@ def random_instance(rng, k, p, d2, max_trials=6):
 
 def dense_posterior(C, trials, ztilde, d2):
     k, p = C.shape
-    A = CurvatureMatrix(d2).dense()
+    A = dense_curvature(d2)
     dim = (d2 - 1) * k
     prec = np.eye(dim)
     rhs = np.zeros(dim)
@@ -103,24 +90,22 @@ class TestMultinomialData:
 
 class TestAdjustedCounts:
     def test_zero_expansion_binary(self):
-        got = adjusted_counts(
-            np.array([[1.0]]), np.array([1.0]), np.array([[0.0]]), 2
-        )
+        got = bound_terms(np.array([[1.0]]), np.array([1.0]), np.array([[0.0]]))
         assert got[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_trials_passthrough(self):
         z = np.array([[0.0, 0.0]])
-        got = adjusted_counts(z, np.array([0.0]), np.array([[1.0, -2.0]]), 3)
+        got = bound_terms(z, np.array([0.0]), np.array([[1.0, -2.0]]))
         np.testing.assert_array_equal(got, z)
 
     def test_elementwise_formula_oracle(self):
         rng = np.random.default_rng(2)
         k, p, d2 = 2, 7, 4
         _, trials, counts, psi = random_instance(rng, k, p, d2)
-        got = adjusted_counts(counts, trials, psi, d2)
-        A = CurvatureMatrix(d2).dense()
+        got = bound_terms(counts, trials, psi)
+        A = dense_curvature(d2)
         for i in range(p):
-            probs = softmax_pivot(psi[i])[:-1]
+            probs = pivot_softmax(psi[i])[:-1]
             expected = counts[i] - trials[i] * (probs - A @ psi[i])
             np.testing.assert_allclose(got[i], expected, atol=1e-13)
 
@@ -128,28 +113,32 @@ class TestAdjustedCounts:
         rng = np.random.default_rng(3)
         _, trials, counts, psi = random_instance(rng, 2, 9, 5)
         psi[0] = [40.0, -3.0, 1.0, 2.0]  # the shift by the largest entry matters
-        ztilde, offset = adjusted_counts(counts, trials, psi, 5, return_offset=True)
-        np.testing.assert_array_equal(ztilde, adjusted_counts(counts, trials, psi, 5))
-        curv = CurvatureMatrix(5)
+        ztilde, offset = bound_terms(counts, trials, psi, offsets=True)
+        np.testing.assert_array_equal(ztilde, bound_terms(counts, trials, psi))
+        A = dense_curvature(5)
         for i in range(9):
-            probs = softmax_pivot(psi[i])[:-1]
-            expected = lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i])
+            probs = pivot_softmax(psi[i])[:-1]
+            expected = pivot_lse(psi[i]) - psi[i] @ probs + 0.5 * psi[i] @ A @ psi[i]
             assert offset[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestBoundKernel:
     """The category-first kernel the fit calls (_bound_terms) against the
-    bound's formula taken instance by instance, and adjusted_counts, its
-    (P, D2-1) wrapper, against the same formula."""
+    bound's formula taken instance by instance, on category-first arrays
+    and on transposed views of (P, D2-1) ones."""
 
     @staticmethod
     def reference(counts, trials, psi, d2):
-        curv = CurvatureMatrix(d2)
         ztilde, offset = [], []
         for i in range(len(psi)):
-            probs = softmax_pivot(psi[i])[:-1]
-            ztilde.append(counts[i] - trials[i] * (probs - curv.apply(psi[i])))
-            offset.append(lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i]))
+            probs = pivot_softmax(psi[i])[:-1]
+            # A psi from A's rank-one structure, (psi - sum(psi) / D2) / 2: at
+            # |psi| = 700 a product with the dense A rounds wider than tol
+            a_psi = 0.5 * (psi[i] - psi[i].sum() / d2)
+            ztilde.append(counts[i] - trials[i] * (probs - a_psi))
+            offset.append(
+                pivot_lse(psi[i]) - psi[i] @ probs + 0.5 * np.sum(psi[i] * a_psi)
+            )
         return np.array(ztilde), np.array(offset)
 
     @pytest.mark.parametrize(
@@ -179,7 +168,7 @@ class TestBoundKernel:
         if zero_trials:
             np.testing.assert_array_equal(ztilde, 0.0)
 
-        got_z, got_offset = adjusted_counts(counts, trials, psi, d2, return_offset=True)
+        got_z, got_offset = bound_terms(counts, trials, psi, offsets=True)
         np.testing.assert_allclose(got_z, want_z, rtol=0, atol=tol)
         np.testing.assert_allclose(got_offset, want_offset, rtol=0, atol=tol)
 
@@ -189,7 +178,7 @@ class TestBoundKernel:
         psi[2, 1] = bad
         counts, trials = np.zeros((4, 3)), np.ones(4)
         with pytest.raises(ValueError, match="non-finite"):
-            adjusted_counts(counts, trials, psi, 4)
+            bound_terms(counts, trials, psi)
         with pytest.raises(ValueError, match="non-finite"):
             mmod._bound_terms(counts.T, trials, psi.T, offsets=True)
 
@@ -229,7 +218,7 @@ class TestEStep:
             p = int(rng.integers(1, 7))
             d2 = int(rng.integers(2, 6))
             C, trials, counts, psi = random_instance(rng, k, p, d2)
-            ztilde = adjusted_counts(counts, trials, psi, d2)
+            ztilde = bound_terms(counts, trials, psi)
             state = e_step(C, trials, ztilde, d2)
             cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
             ones = np.ones((d2 - 1, d2 - 1))
@@ -244,9 +233,7 @@ class TestEStep:
     def test_precision_dominates_identity(self):
         rng = np.random.default_rng(14)
         C, trials, counts, psi = random_instance(rng, 3, 20, 5)
-        state = e_step(
-            C, trials, adjusted_counts(counts, trials, psi, 5), 5
-        )
+        state = e_step(C, trials, bound_terms(counts, trials, psi), 5)
         assert np.linalg.eigvalsh(state.precision).min() >= 1.0 - 1e-10
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -255,7 +242,7 @@ class TestEStep:
         rng = np.random.default_rng(7)
         C, trials, counts, psi = random_instance(rng, 3, 6, 4)
         trials += 1.0
-        ztilde = adjusted_counts(counts, trials, psi, 4)
+        ztilde = bound_terms(counts, trials, psi)
         with pytest.raises(NumericalError, match="block precision"):
             e_step(1e160 * C, trials, ztilde, 4)
 
@@ -328,7 +315,7 @@ class TestFinishFactors:
     def test_matches_two_cholesky_oracle(self, k, d2):
         rng = np.random.default_rng(100 * k + d2)
         C, trials, counts, psi = random_instance(rng, k, 60, d2)
-        ztilde = adjusted_counts(counts, trials, psi, d2)
+        ztilde = bound_terms(counts, trials, psi)
         sums = _e_step_sums(C, trials, ztilde.T)
         state = _e_step_finish(*sums, d2)
         want = two_cholesky_finish(*sums, d2)
@@ -342,7 +329,7 @@ class TestFinishFactors:
         # first use, from the same factors
         rng = np.random.default_rng(3)
         C, trials, counts, psi = random_instance(rng, 3, 40, 5)
-        state = e_step(C, trials, adjusted_counts(counts, trials, psi, 5), 5)
+        state = e_step(C, trials, bound_terms(counts, trials, psi), 5)
         bare = replace(state, cov_terms=None)
         assert multinomial_posterior_terms(bare) == multinomial_posterior_terms(state)
         assert bare.cov_terms == state.cov_terms
@@ -367,21 +354,20 @@ class TestPsiUpdate:
         k, p, d2 = 2, 4, 3
         C, trials, counts, psi0 = random_instance(rng, k, p, d2, max_trials=5)
         trials += 1.0  # make every instance carry data
-        ztilde = adjusted_counts(counts, trials, psi0, d2)
+        ztilde = bound_terms(counts, trials, psi0)
         state = e_step(C, trials, ztilde, d2)
         state.expansion = psi_update(state.loading_mean, C)
-        curv = CurvatureMatrix(d2)
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
-        A = curv.dense()
+        A = dense_curvature(d2)
 
         def neg_expected_bound(i, psi_i):
             # E[bound(eta_i; psi_i)] under the dense posterior of eta_i
             Ci = np.kron(np.eye(d2 - 1), C[:, i : i + 1])
             m = Ci.T @ mean_dense
             S = Ci.T @ cov_dense @ Ci
-            probs = softmax_pivot(psi_i)[:-1]
+            probs = pivot_softmax(psi_i)[:-1]
             val = (
-                lse(psi_i)
+                pivot_lse(psi_i)
                 + (m - psi_i) @ probs
                 + 0.5 * (m - psi_i) @ A @ (m - psi_i)
                 + 0.5 * np.trace(A @ S)
@@ -406,7 +392,7 @@ class TestScoreContribution:
         k, p, d2 = 2, 3, 4
         C, _, counts, psi = random_instance(rng, k, p, d2)
         trials = np.zeros(p)
-        ztilde = adjusted_counts(counts, trials, psi, d2)
+        ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, d2)
         H, rho = multinomial_score_terms(state, ztilde, trials)
         H, rho = H[1], rho[1]
@@ -418,7 +404,7 @@ class TestScoreContribution:
         rng = np.random.default_rng(4)
         C, trials, counts, psi = random_instance(rng, 2, 5, 2)
         trials += 1.0
-        ztilde = adjusted_counts(counts, trials, psi, 2)
+        ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, 2)
         i = 2
         H = multinomial_score_terms(state, ztilde, trials)[0][i]
@@ -438,10 +424,10 @@ class TestScoreContribution:
         k, p, d2 = 2, 4, 4
         C, trials, counts, psi = random_instance(rng, k, p, d2)
         trials += 1.0
-        ztilde = adjusted_counts(counts, trials, psi, d2)
+        ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, d2)
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
-        A = CurvatureMatrix(d2).dense()
+        A = dense_curvature(d2)
         i = 3
         H, rho = multinomial_score_terms(state, ztilde, trials)
         H, rho = H[i], rho[i]
@@ -463,7 +449,7 @@ class TestScoreContribution:
     def test_H_symmetric(self):
         rng = np.random.default_rng(15)
         C, trials, counts, psi = random_instance(rng, 3, 6, 5)
-        ztilde = adjusted_counts(counts, trials, psi, 5)
+        ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, 5)
         H, _ = multinomial_score_terms(state, ztilde, trials)
         np.testing.assert_allclose(H, np.transpose(H, (0, 2, 1)), atol=1e-12)
@@ -476,7 +462,7 @@ class TestBoundConsistency:
         rng = np.random.default_rng(21)
         k, p, d2 = 2, 5, 4
         C, trials, counts, psi = random_instance(rng, k, p, d2)
-        curv = CurvatureMatrix(d2)
+        A = dense_curvature(d2)
         pivot = trials - counts.sum(axis=1)
         log_coeff = (
             gammaln(trials + 1)
@@ -486,12 +472,12 @@ class TestBoundConsistency:
         for _ in range(50):
             V = rng.standard_normal((k, d2 - 1))
             eta = C.T @ V
-            exact = log_coeff + (counts * eta).sum(axis=1) - trials * lse(eta)
-            probs = softmax_pivot(psi)[..., :-1]
+            exact = log_coeff + (counts * eta).sum(axis=1) - trials * pivot_lse(eta)
+            probs = pivot_softmax(psi)[..., :-1]
             bound_val = (
-                lse(psi)
+                pivot_lse(psi)
                 + ((eta - psi) * probs).sum(axis=1)
-                + 0.5 * curv.quad(eta - psi)
+                + 0.5 * np.einsum("pi,ij,pj->p", eta - psi, A, eta - psi)
             )
             bounded = log_coeff + (counts * eta).sum(axis=1) - trials * bound_val
             assert np.all(bounded <= exact + 1e-10)
@@ -501,11 +487,11 @@ class TestBoundConsistency:
         rng = np.random.default_rng(30)
         k, p, d2 = 3, 5, 4
         C, trials, counts, psi = random_instance(rng, k, p, d2)
-        ztilde = adjusted_counts(counts, trials, psi, d2)
+        ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, d2)
         state.expansion = psi
         got = expected_bound_loglik(state, counts, trials, psi, C)
-        curv = CurvatureMatrix(d2)
+        A = dense_curvature(d2)
         base = score_base(state)
         pivot = trials - counts.sum(axis=1)
         log_coeff = (
@@ -515,8 +501,8 @@ class TestBoundConsistency:
         )
         for i in range(p):
             c = C[:, i]
-            probs = softmax_pivot(psi[i])[:-1]
-            offset = lse(psi[i]) - psi[i] @ probs + 0.5 * curv.quad(psi[i])
+            probs = pivot_softmax(psi[i])[:-1]
+            offset = pivot_lse(psi[i]) - psi[i] @ probs + 0.5 * psi[i] @ A @ psi[i]
             expected = (
                 log_coeff[i]
                 + c @ (state.loading_mean @ ztilde[i])

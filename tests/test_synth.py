@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mmfa import GeneratorConfig, inject_outliers, sample_dataset
-from mmfa.expfam import softmax_pivot
+from mmfa import GeneratorConfig, sample_dataset
+from mmfa.synth import inject_outliers
+from oracles import pivot_softmax
 
 
 class TestSampleDataset:
@@ -67,7 +68,7 @@ class TestSampleDataset:
         synth = sample_dataset(cfg)
         # overwrite with a shared score by regenerating counts directly
         V = synth.categorical_loadings[0]
-        probs = softmax_pivot(shared @ V)
+        probs = pivot_softmax(shared @ V)
         counts = rng.multinomial(1, np.broadcast_to(probs, (p, d2)))
         freq = counts.mean(axis=0)
         stderr = np.sqrt(probs * (1 - probs) / p)
