@@ -32,10 +32,11 @@ evaluations, in SQUAREM cycles: two iterations, then an extrapolation of
 the scores, log noise variances and expansion points along the two steps
 taken (:class:`_Squarem`), a pass for the sums at the extrapolated point
 and one iteration from there, kept only if its objective is no lower than
-the second iteration's. So the tracked objective never decreases. Beyond
-its outputs (scores, noise variances, expansion points, posteriors), a fit
-holds one block's working set per worker and a few (K, P) score arrays:
-no array of P D1 or K^2 P floats is made per iteration.
+the second iteration's. So the tracked objective never decreases. No
+noise variances or expansion points are stored: each block recomputes
+them. Beyond its outputs (scores, posteriors), a fit holds one block's
+working set per worker and a few (K, P) score arrays: no array of P D1
+or K^2 P floats is made.
 """
 
 import contextlib
@@ -194,6 +195,17 @@ class _Block:
     rho: np.ndarray = None  # (b, K)
 
 
+def _initial_theta(spec, Y, cat_states, b):
+    """The noise variances and expansion points of a fit's or scoring's
+    initial state at b instances with Gaussian data Y, or None without a
+    Gaussian block: the prior mode at every entry, and psi = 0 in the
+    (b, D - 1) layout of :func:`multinomial.psi_update`."""
+    sigma2 = None
+    if Y is not None:
+        sigma2 = np.full(Y.shape, gmod.prior_mode_variance(spec.alpha, spec.beta))
+    return sigma2, [np.zeros((b, state.n_categories - 1)) for state in cat_states]
+
+
 def _local_step(data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=None, psis=None, offsets=False, Y=None, bases=None):
     """The local step of the instances in rows, up to its solve.
@@ -244,30 +256,32 @@ def _walk(data, model, log_coefficient, update, hook=None):
     """One pass over the instance blocks; returns (objective, sums).
 
     With update (a fit iteration) each block takes its local step at its
-    current scores and writes its noise variances, its expansion points
-    and the scores it solves for into the model's arrays. Without, each
-    block reads the model's noise variances and expansion points and keeps
-    its scores. The objective is the surrogate at the scores the model
-    then holds: the blocks' sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i
-    / 2), (H, rho) the unridged score system, plus the terms free of the
-    scores, those of the loading posteriors alone and log_coefficient
+    current scores and writes the scores it solves for into the model's.
+    Without, each block keeps its scores, and its noise variances and
+    expansion points are those hook gives or, with no hook, their optima
+    at the scores: the M-step and psi = loading_mean^T C. The objective
+    is the surrogate at the scores the model then holds: the blocks'
+    sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2), (H, rho) the
+    unridged score system, plus the terms free of the scores, those of
+    the loading posteriors alone and log_coefficient
     (:func:`_log_coefficient`). The sums, at the same scores, are what
     :func:`_global_step` reads: the packed Gaussian precision sums and
     C (w * Y), then C diag(N) C^T and C ztilde^T per categorical block.
     They depend on the scores, noise variances and expansion points alone.
 
-    hook, if given, does SQUAREM's work in every block (:class:`_Squarem`),
-    given the rows' Gaussian data Y (:func:`gaussian._observed`) and mask.
-    With update, hook(rows, Y, mask, scores, sigma2, psis) gets the block's
-    new theta before it overwrites the model's. Without, hook(rows, Y,
-    mask) runs first and may write the rows' theta for the block to read;
-    if it returns false the block is skipped, leaving the results partial.
+    hook, if given, does SQUAREM's work in every block (:class:`_Squarem`)
+    or gives the initial theta, given the rows' Gaussian data Y
+    (:func:`gaussian._observed`) and mask. With update, hook(rows, Y,
+    mask, scores, sigma2, psis) gets the block's new theta before it
+    overwrites the model's scores. Without, hook(rows, Y, mask) runs first
+    and returns the block's (sigma2, psis), psis (b, D - 1) each; if it
+    returns None the block is skipped, leaving the results partial.
 
     The blocks run on several threads (:func:`_blocks_in_order`). Each
     writes only its own rows, and their terms and sums are added here in
     block order, so the result does not depend on the number of threads.
     """
-    spec, C, sigma2 = model.spec, model.scores, model.noise_variance
+    spec, C = model.spec, model.scores
     gauss_state, cat_states = model.gaussian, model.categoricals
     lam = spec.effective_ridge
     bases = _score_bases(cat_states)
@@ -288,13 +302,15 @@ def _walk(data, model, log_coefficient, update, hook=None):
                 warm_start=scores.T,
             )
         else:
-            if hook is not None and not hook(rows, Y, mask):
-                return ([], []), None
+            sigma2 = psis = None
+            if hook is not None:
+                theta = hook(rows, Y, mask)
+                if theta is None:
+                    return ([], []), None
+                sigma2, psis = theta[0], [psi.T for psi in theta[1]]
             blk = _local_step(
                 data, spec, gauss_state, cat_states, scores, rows,
-                sigma2=None if sigma2 is None else sigma2[rows],
-                psis=[state.expansion[rows].T for state in cat_states],
-                offsets=True, Y=Y, bases=bases,
+                sigma2=sigma2, psis=psis, offsets=True, Y=Y, bases=bases,
             )
             c = scores.T
         Hc = np.einsum("pkl,pl->pk", blk.H, c)
@@ -316,15 +332,11 @@ def _walk(data, model, log_coefficient, update, hook=None):
         held, new_sigma2 = (blk.psis, blk.ztildes, blk.offsets), blk.sigma2
         if update:
             del blk  # H and the weights go before the hook allocates: 2.5 MB of W1's peak
-            # by a second product, not a transposing copy of blk.psis,
-            # which costs 8 times as much at 512 categories
-            psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
             if hook is not None:
+                # by a second product, not a transposing copy of blk.psis,
+                # which costs 8 times as much at 512 categories
+                psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
                 hook(rows, Y, mask, c.T, new_sigma2, psis)
-            if sigma2 is not None:
-                sigma2[rows] = new_sigma2
-            for state, psi in zip(cat_states, psis):
-                state.expansion[rows] = psi
             C[:, rows] = c.T
         return (terms, parts), held
 
@@ -348,23 +360,17 @@ def _walk(data, model, log_coefficient, update, hook=None):
     return total + posterior + log_coefficient, sums
 
 
-def _global_step(data, sums, cat_states):
-    """The loading posteriors from the sums of :func:`_walk`.
-
-    Returns (Gaussian state, categorical states). Each new categorical
-    state takes over its predecessor's expansion array, which the next
-    pass overwrites block by block.
-    """
+def _global_step(data, sums):
+    """The loading posteriors from the sums of :func:`_walk`: (Gaussian
+    state, categorical states)."""
     sums = iter(sums)
     gauss_state = None
     if data.gaussian is not None:
         gauss_state = gmod._e_step_finish(next(sums), next(sums))
-    new_states = []
-    for block, old in zip(data.categoricals, cat_states):
-        state = mmod._e_step_finish(next(sums), next(sums), block.n_categories)
-        state.expansion = old.expansion
-        new_states.append(state)
-    return gauss_state, new_states
+    return gauss_state, [
+        mmod._e_step_finish(next(sums), next(sums), block.n_categories)
+        for block in data.categoricals
+    ]
 
 
 def _log_coefficient(data):
@@ -380,11 +386,13 @@ def surrogate_objective(model, data):
 
     The exact Gaussian evidence terms plus the bounded multinomial terms,
     each with their prior and posterior-entropy parts, minus the ridge
-    penalty when that score mode is active. It is read off the score
-    system built at the model's state by :func:`score_system`, through
-    the same pass over instance blocks that :func:`fit` takes, so it
-    reproduces the last entry of the fit's trace. Deterministic given the
-    model state.
+    penalty when that score mode is active, at the model's scores with the
+    noise variances and expansion points at their optima for them (the
+    M-step and psi = loading_mean^T C). It is read off the score system
+    built there by :func:`score_system`, through the same pass over
+    instance blocks that :func:`fit` takes. Both updates are exact
+    coordinate ascent from the fit's last state, so it is no lower than
+    the last entry of the fit's trace. Deterministic given the model.
     """
     model.check_compatible(data)
     objective, _ = _walk(data, model, _log_coefficient(data), update=False)
@@ -573,8 +581,9 @@ class _Squarem:
     its source, and are recomputed block by block when needed: the record
     of an iterate is (scores, source scores, Gaussian state, categorical
     states), source scores None for the initial state (prior-mode
-    variances, psi = 0). Beyond the model a cycle holds a few (K, P)
-    arrays. Its work rides on two walks of the fit, as their hook.
+    variances, psi = 0; :func:`_initial_theta`). Beyond the model a cycle
+    holds a few (K, P) arrays. Its work rides on two walks of the fit, as
+    their hook.
     """
 
     def __init__(self, model):
@@ -601,38 +610,23 @@ class _Squarem:
         scores, prev, gauss, cats = record
         spec = self.model.spec
         theta = [np.array(scores[:, rows])]
-        b = theta[0].shape[1]
-        if Y is not None:
-            if prev is None:
-                sigma2 = np.full(Y.shape, gmod.prior_mode_variance(spec.alpha, spec.beta))
-            else:
-                sigma2 = gmod.gaussian_m_step(
-                    gauss, prev[:, rows], Y, mask, spec.alpha, spec.beta
-                )
-            theta.append(np.log(sigma2, out=sigma2))
-        for state in cats:
-            theta.append(
-                np.zeros((b, state.n_categories - 1)) if prev is None
-                else mmod.psi_update(state.loading_mean, prev[:, rows])
+        if prev is None:
+            sigma2, psis = _initial_theta(spec, Y, cats, theta[0].shape[1])
+        else:
+            sigma2 = None if Y is None else gmod.gaussian_m_step(
+                gauss, prev[:, rows], Y, mask, spec.alpha, spec.beta
             )
-        return theta
-
-    def _held(self, scores, rows):
-        """theta at rows: scores, and the model's arrays (views but the logs)."""
-        model = self.model
-        theta = [scores[:, rows]]
-        if model.noise_variance is not None:
-            theta.append(np.log(model.noise_variance[rows]))
-        return theta + [state.expansion[rows] for state in model.categoricals]
+            psis = [mmod.psi_update(state.loading_mean, prev[:, rows]) for state in cats]
+        if sigma2 is not None:
+            theta.append(np.log(sigma2, out=sigma2))
+        return theta + psis
 
     def norms(self, rows, Y, mask, scores, sigma2, psis):
         """theta_2's map evaluation's hook: the block's |r|^2 and |v|^2, a
-        pair per array, with theta_1 read from the model's arrays before
-        the walk overwrites them and theta_0 recomputed."""
+        pair per array, with theta_0 and theta_1 recomputed."""
         theta2 = [scores] + ([] if sigma2 is None else [np.log(sigma2)]) + psis
         r, v = _differences(
-            self._recorded(self.records[0], rows, Y, mask),
-            self._held(self.model.scores, rows), theta2,
+            *(self._recorded(record, rows, Y, mask) for record in self.records), theta2
         )
         # einsum, not BLAS dot: the sums must not depend on its thread count
         self.shares[rows.start] = [
@@ -642,18 +636,17 @@ class _Squarem:
     def extrapolation(self, nonnegative):
         """The hook for the walk at theta' = theta_0 - 2 a r + a^2 v, with
         r = theta_1 - theta_0, v = theta_2 - 2 theta_1 + theta_0 (theta_2
-        the model's state) and a = -max(1, |r| / |v|), the norms added up
-        from :meth:`norms`'s shares in block order, then array by array;
-        None if a is -1, where theta' is theta_2, or not finite. The hook
-        writes theta' = theta_2 - 2 (1 + a) r + (a^2 - 1) v, scores clipped
-        at 0 if nonnegative, into the model: into the new array the caller
-        puts in model.scores, and over theta_2's noise variances and
-        expansion points, which a map evaluation does not read. It returns
-        whether the block's theta' is finite, clearing self.finite if not.
+        the model's state, whose source is theta_1's scores) and
+        a = -max(1, |r| / |v|), the norms added up from :meth:`norms`'s
+        shares in block order, then array by array; None if a is -1, where
+        theta' is theta_2, or not finite. The hook writes the scores of
+        theta' = theta_2 - 2 (1 + a) r + (a^2 - 1) v, clipped at 0 if
+        nonnegative, into the new array the caller puts in model.scores and
+        returns its noise variances and expansion points, or None, clearing
+        self.finite, if the block's theta' is not finite.
         """
         model = self.model
-        totals = np.zeros((1 + (model.noise_variance is not None)
-                           + len(model.categoricals), 2))
+        totals = np.zeros((1 + (model.gaussian is not None) + len(model.categoricals), 2))
         for start in sorted(self.shares):
             totals += self.shares[start]
         rr, vv = totals.sum(axis=0)
@@ -662,15 +655,14 @@ class _Squarem:
         alpha = -max(1.0, math.sqrt(rr / vv))
         if alpha == -1.0:
             return None
-        (theta0, theta1), scores2 = self.records, model.scores
+        # theta_2's record: its source is theta_1's scores
+        theta2 = (model.scores, self.records[1][0], model.gaussian, model.categoricals)
+        records = [*self.records, theta2]
         self.finite = True
 
         def hook(rows, Y, mask):
-            now = self._held(scores2, rows)
-            r, v = _differences(
-                self._recorded(theta0, rows, Y, mask),
-                self._recorded(theta1, rows, Y, mask), now,
-            )
+            theta0, theta1, now = (self._recorded(rec, rows, Y, mask) for rec in records)
+            r, v = _differences(theta0, theta1, now)
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, y, z in zip(r, v, now):
                     y *= 0.5 * (1.0 - alpha)
@@ -683,16 +675,16 @@ class _Squarem:
                     np.maximum(c, 0.0, out=c)
                 model.scores[:, rows] = c
                 ok = np.isfinite(c).all()
-                if model.noise_variance is not None:
+                sigma2 = None
+                if Y is not None:
                     sigma2 = np.exp(next(new))
                     ok &= np.isfinite(sigma2).all() and (sigma2 > 0.0).all()
-                    model.noise_variance[rows] = sigma2
-                for state, psi in zip(model.categoricals, new):
-                    ok &= np.isfinite(psi).all()
-                    state.expansion[rows] = psi
+                psis = list(new)
+                ok &= all(np.isfinite(psi).all() for psi in psis)
             if not ok:
                 self.finite = False  # only ever cleared: safe from any thread
-            return bool(ok)
+                return None
+            return sigma2, psis
 
         return hook
 
@@ -707,8 +699,10 @@ def fit(data, spec, callback=None):
     solves its score system (:func:`score_system`) for new scores, and
     adds its shares of the objective and of the sums the next evaluation
     reads. The map reads the state only through those sums and the
-    scores. trace[0] comes from the same walk at the initial state,
-    without the solve and the updates.
+    scores. trace[0] comes from the same walk at the initial state
+    (:func:`_initial_theta`), without the solve. A later entry holds the
+    noise variances and expansion points of the scores its evaluation
+    started from, so :func:`surrogate_objective` is no lower than trace[-1].
 
     With spec.accelerate (the default) the map evaluations run in SQUAREM
     cycles over theta = (scores, log noise variances, expansion points):
@@ -733,13 +727,13 @@ def fit(data, spec, callback=None):
 
     Walks run their blocks on the usable cores with OpenBLAS at one
     thread, adding results in block order, so the result does not depend
-    on the number of cores. Beyond the returned arrays a fit holds one
-    block's working set per worker and, when accelerated, a few copies of
-    the scores.
+    on the number of cores. Beyond the returned scores and posteriors a
+    fit holds one block's working set per worker and, when accelerated, a
+    few copies of the scores.
 
     callback, if given, is invoked after every kept map evaluation as
     callback(iteration, model), iteration counting map evaluations, with
-    the FittedModel the fit returns, whose states, arrays and trace the
+    the FittedModel the fit returns, whose scores, states and trace the
     next evaluation overwrites or extends (copy anything kept beyond the
     call).
     """
@@ -758,21 +752,21 @@ def fit(data, spec, callback=None):
         d1 = data.n_gaussian
         zeros = np.zeros((k * (k + 1) // 2, d1))
         model.gaussian = gmod._e_step_finish(zeros, np.zeros((k, d1)))
-        prior = gmod.prior_mode_variance(spec.alpha, spec.beta)
-        model.noise_variance = np.full((p, d1), prior)
-    for d in data.category_counts:
-        state = mmod._e_step_finish(np.zeros((k, k)), np.zeros((k, d - 1)), d)
-        state.expansion = np.zeros((p, d - 1))
-        model.categoricals.append(state)
+    model.categoricals = [
+        mmod._e_step_finish(np.zeros((k, k)), np.zeros((k, d - 1)), d)
+        for d in data.category_counts
+    ]
     log_coefficient = _log_coefficient(data)
-    objective, sums = _walk(data, model, log_coefficient, update=False)
+
+    def initial(rows, Y, mask):
+        return _initial_theta(spec, Y, model.categoricals, len(range(p)[rows]))
+
+    objective, sums = _walk(data, model, log_coefficient, update=False, hook=initial)
     model.objective_trace.append(objective)
     squarem = _Squarem(model) if spec.accelerate else None
 
     def evaluate(hook=None):
-        model.gaussian, model.categoricals = _global_step(
-            data, sums, model.categoricals
-        )
+        model.gaussian, model.categoricals = _global_step(data, sums)
         return _walk(data, model, log_coefficient, update=True, hook=hook)
 
     while model.iterations_run < spec.max_iters:
@@ -801,9 +795,7 @@ def fit(data, spec, callback=None):
                 model.extrapolations += 1
                 squarem.prev = source
             else:
-                # back to theta_2, whose source squarem.prev still holds;
-                # its noise variances and expansion points are rewritten by
-                # the next map evaluation, for which room was left
+                # back to theta_2, whose source squarem.prev still holds
                 model.extrapolations += 1
                 model.extrapolations_rejected += 1
                 model.scores, model.gaussian, model.categoricals, sums = saved

@@ -45,6 +45,13 @@ class FisherResult:
         return _trace_inverse(self.multinomial)
 
 
+def _require_finite(**inputs):
+    """Raise ValueError naming the first input not None and not finite."""
+    for name, value in inputs.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} contains non-finite entries")
+
+
 def gaussian_fisher(c, mean, cov=None, noise_variance=1.0):
     """Fisher information of the Gaussian block at score vector c.
 
@@ -61,8 +68,10 @@ def gaussian_fisher(c, mean, cov=None, noise_variance=1.0):
 
         mu_j mu_j^T / d_j + 2 (Sigma_j c)(Sigma_j c)^T / d_j^2,
 
-    d_j = c^T Sigma_j c + sigma2_j.
+    d_j = c^T Sigma_j c + sigma2_j. A non-finite entry in any argument
+    raises ValueError naming it.
     """
+    _require_finite(c=c, mean=mean, cov=cov, noise_variance=noise_variance)
     c = np.asarray(c, dtype=float)
     mean = np.atleast_2d(np.asarray(mean, dtype=float))
     d1, k = mean.shape
@@ -122,10 +131,7 @@ def multinomial_fisher_mc(
     r = _replicate_count(n_replicates)
     if n_trials < 1 or d < 2:
         raise ValueError("need at least one trial and two categories")
-    inputs = (("c", c), ("loading_mean", loading_mean), ("loading_var", loading_var))
-    for name, value in inputs:
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} contains non-finite entries")
+    _require_finite(c=c, loading_mean=loading_mean, loading_var=loading_var)
     rng = np.random.default_rng(seed)
 
     V = math.sqrt(loading_var) * rng.standard_normal((r, k, d - 1))

@@ -1,11 +1,10 @@
 """Post-fit tasks: scoring new instances, predictive likelihood, anomaly
 detection, imputation, category prediction, and recommendation recall.
 
-Everything here treats the fitted model as frozen: loading posteriors and
-expansion machinery are read, never written. Scoring a new instance
-maximizes its own part of the fit's objective, with its noise variances
-and the bound's expansion points profiled out, by safeguarded Newton
-steps (:func:`_score`).
+Everything here treats the fitted model as frozen: its scores and loading
+posteriors are read, never written. Scoring a new instance maximizes its
+own part of the fit's objective, with its noise variances and the bound's
+expansion points profiled out, by safeguarded Newton steps (:func:`_score`).
 
 The reported predictive log-likelihood is exact for the Gaussian block
 (loadings integrated out in closed form) but a lower bound (ELBO) for the
@@ -23,6 +22,7 @@ from . import multinomial as mmod
 from .engine import (
     _blocks_in_order,
     _cholesky_batch,
+    _initial_theta,
     _local_step,
     _nonneg_qp_batch,
     _score_bases,
@@ -188,18 +188,19 @@ class _Point:
     @classmethod
     def start(cls, model, data, rows, terms):
         """The block's instances after the first step: the score system at
-        the prior-mode noise variances and c = 0, where psi is 0, solved."""
+        c = 0 and the fit's initial noise variances and expansion points
+        (:func:`engine._initial_theta`), solved."""
         spec = model.spec
         idx = np.arange(*rows.indices(data.n_instances))
-        mask = Y = sigma2 = None
+        mask = Y = None
         if data.gaussian is not None:
             mask = None if data.mask is None else data.mask[rows]
             Y = gmod._observed(data.gaussian[rows], mask)
-            sigma2 = np.full(Y.shape, gmod.prior_mode_variance(spec.alpha, spec.beta))
+        sigma2, psis = _initial_theta(spec, Y, model.categoricals, idx.size)
         zero = np.zeros((idx.size, model.n_factors))
         blk = _local_step(
             data, spec, model.gaussian, model.categoricals, zero.T, rows,
-            sigma2=sigma2, Y=Y, bases=terms.bases,
+            sigma2=sigma2, psis=[psi.T for psi in psis], Y=Y, bases=terms.bases,
         )
         c = solve_scores_batch(
             blk.H, blk.rho, spec.score_update, spec.ridge_weight, warm_start=zero

@@ -4,8 +4,10 @@ A model is stored as a JSON document (spec, dimensions, objective trace)
 plus a sidecar binary file, ``<model>.bin``, of raw little-endian float64
 matrices in column-major order, each referenced by byte offset from the
 JSON document. The two files round-trip bit exactly and move together.
-Models written by earlier versions with their matrices inline in the
-JSON document still load.
+A model holds its scores and loading posteriors, not the per-entry noise
+variances and expansion points that follow from them. Models written by
+earlier versions, inline in the JSON document or with those arrays
+(which are not read), still load.
 """
 
 import contextlib
@@ -24,6 +26,8 @@ MODEL_SCHEMA_VERSION = 1
 
 SCORE_UPDATE_MODES = ("unconstrained", "ridge", "nonnegative")
 SIDECAR_CHUNK_VALUES = 1 << 18
+# the arrays of a MultinomialState a model file holds, as cat<m>_<field>
+_CATEGORICAL_FIELDS = ("precision", "precision_inv", "cross_cov", "loading_mean")
 
 
 @dataclass
@@ -117,7 +121,6 @@ class FittedModel:
     spec: ModelSpec
     scores: np.ndarray  # (K, P)
     gaussian: GaussianState = None
-    noise_variance: np.ndarray = None  # (P, D1)
     categoricals: list = field(default_factory=list)  # list[MultinomialState]
     objective_trace: list = field(default_factory=list)
     iterations_run: int = 0
@@ -160,13 +163,9 @@ def _collect_arrays(model):
     if model.gaussian is not None:
         arrays["gaussian_mean"] = model.gaussian.mean
         arrays["gaussian_cov"] = model.gaussian.cov
-        arrays["noise_variance"] = model.noise_variance
     for m, state in enumerate(model.categoricals):
-        arrays[f"cat{m}_precision"] = state.precision
-        arrays[f"cat{m}_precision_inv"] = state.precision_inv
-        arrays[f"cat{m}_cross_cov"] = state.cross_cov
-        arrays[f"cat{m}_loading_mean"] = state.loading_mean
-        arrays[f"cat{m}_expansion"] = state.expansion
+        for name in _CATEGORICAL_FIELDS:
+            arrays[f"cat{m}_{name}"] = getattr(state, name)
     return arrays
 
 
@@ -254,16 +253,17 @@ def _read_array(entry, blob):
     return out
 
 
-def _read_arrays(doc, path):
-    """Every array of the manifest at path, from its sidecar blob, or
-    inline if it has none (a model written by an earlier version)."""
+def _read_arrays(doc, path, names):
+    """The arrays of the manifest at path that names lists, from its
+    sidecar blob, or inline if it has none (a model written by an earlier
+    version)."""
     entries = doc["arrays"]
     if "blob" not in doc:
-        return {name: _read_array(entry, None) for name, entry in entries.items()}
+        return {name: _read_array(entries[name], None) for name in names}
     blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["blob"])
     try:
         with open(blob_path, "rb") as blob:
-            return {name: _read_array(entry, blob) for name, entry in entries.items()}
+            return {name: _read_array(entries[name], blob) for name in names}
     except OSError as exc:
         raise SchemaError(f"model blob {blob_path} unreadable: {exc}") from exc
 
@@ -287,32 +287,28 @@ def load_model(path):
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
     try:
-        arrays = _read_arrays(doc, path)
+        names = ["scores"]
+        if "gaussian_mean" in doc["arrays"]:
+            names += ["gaussian_mean", "gaussian_cov"]
+        for m in range(len(doc["n_category_list"])):
+            names += [f"cat{m}_{name}" for name in _CATEGORICAL_FIELDS]
+        arrays = _read_arrays(doc, path, names)
         spec = ModelSpec(**doc["spec"])
         gaussian = None
-        noise = None
         if "gaussian_mean" in arrays:
             gaussian = GaussianState(
                 mean=arrays["gaussian_mean"], cov=arrays["gaussian_cov"]
             )
-            noise = arrays["noise_variance"]
-        categoricals = []
-        for m, d2 in enumerate(doc["n_category_list"]):
-            categoricals.append(
-                MultinomialState(
-                    n_categories=int(d2),
-                    precision=arrays[f"cat{m}_precision"],
-                    precision_inv=arrays[f"cat{m}_precision_inv"],
-                    cross_cov=arrays[f"cat{m}_cross_cov"],
-                    loading_mean=arrays[f"cat{m}_loading_mean"],
-                    expansion=arrays[f"cat{m}_expansion"],
-                )
-            )
+        categoricals = [
+            MultinomialState(n_categories=int(d2), **{
+                name: arrays[f"cat{m}_{name}"] for name in _CATEGORICAL_FIELDS
+            })
+            for m, d2 in enumerate(doc["n_category_list"])
+        ]
         return FittedModel(
             spec=spec,
             scores=arrays["scores"],
             gaussian=gaussian,
-            noise_variance=noise,
             categoricals=categoricals,
             objective_trace=list(doc["objective_trace"]),
             iterations_run=int(doc["iterations_run"]),

@@ -16,12 +16,11 @@ A fit's blocks hold their per-instance category arrays category-first,
 (D2-1, b): the expansion points psi = loading_mean^T C, the adjusted
 counts and the bound's terms (:func:`_bound_terms`), so that every
 reduction over the categories adds contiguous rows of b instances.
-:func:`psi_update` and the expansion points a model stores keep the
-(P, D2-1) layout.
+:func:`psi_update` keeps the (P, D2-1) layout.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +90,6 @@ class MultinomialState:
     precision_inv K x K, its inverse (block-diagonal covariance part).
     cross_cov:    K x K correction shared by every pair of category blocks.
     loading_mean: K x (D2-1) posterior mean of the category loadings.
-    expansion:    P x (D2-1) per-instance expansion points of the bound.
     cov_terms:    :func:`_e_step_finish`'s, or None until first read.
     """
 
@@ -100,7 +98,6 @@ class MultinomialState:
     precision_inv: np.ndarray
     cross_cov: np.ndarray
     loading_mean: np.ndarray
-    expansion: np.ndarray = field(default=None)
     cov_terms: float = None
 
     @property
@@ -205,7 +202,7 @@ def _e_step_finish(gram, cz, n_categories):
     all of it, exact at zero sums (the prior); the (D2-1)K-dimensional
     posterior is never materialized. A P that is not finite or not
     positive definite raises NumericalError. Returns a
-    :class:`MultinomialState` without expansion points.
+    :class:`MultinomialState`.
     """
     k = gram.shape[0]
     d = n_categories - 1.0
@@ -241,8 +238,8 @@ def psi_update(loading_mean, C):
     For Gaussian-distributed log-odds with mean m, the expected bound
     around psi exceeds the expected bound around m by the (nonnegative)
     bound gap evaluated at m, so the posterior-mean log-odds are the
-    exact minimizer. Returns (P, D-1), the layout a model stores; the
-    fit's blocks take the same product category-first, loading_mean^T C.
+    exact minimizer. Returns (P, D-1); the fit's blocks take the same
+    product category-first, loading_mean^T C.
     """
     return np.asarray(C).T @ np.asarray(loading_mean)
 

@@ -292,6 +292,24 @@ class TestCrlb:
                 n_replicates=50,
             )
 
+    @pytest.mark.parametrize(
+        "argument, c, block",
+        [
+            ("c", [np.nan, 0.0], {}),
+            ("c", [np.inf, 0.0], {}),
+            ("mean", [1.0, 0.5], {"mean": [[np.nan, 0.0], [0.0, 1.0]]}),
+            ("cov", [1.0, 0.5], {"cov": [[np.inf, 0.0], [0.0, 1.0]]}),
+            ("noise_variance", [1.0, 0.5], {"noise_variance": np.inf}),
+            ("noise_variance", [1.0, 0.5], {"noise_variance": [1.0, np.nan]}),
+        ],
+        ids=["nan-c", "inf-c", "nan-mean", "inf-cov", "inf-noise", "nan-noise"],
+    )
+    def test_non_finite_gaussian_input_names_the_argument(self, argument, c, block):
+        # these once surfaced as a singular Fisher matrix, the numerical
+        # failure `mmfa crlb` exits 4 on
+        with pytest.raises(ValueError, match=f"^{argument} contains non-finite"):
+            crlb(np.array(c), gaussian={"mean": np.eye(2), **block})
+
     def test_singular_combined_fisher_raises(self):
         with pytest.raises(NumericalError):
             crlb(np.array([1.0, 1.0]), gaussian={"mean": np.zeros((1, 2))})

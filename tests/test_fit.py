@@ -35,12 +35,32 @@ def model_arrays(model):
     """Every array a fitted model holds."""
     arrays = [model.scores]
     if model.gaussian is not None:
-        arrays += [model.gaussian.mean, model.gaussian.cov, model.noise_variance]
+        arrays += [model.gaussian.mean, model.gaussian.cov]
     for state in model.categoricals:
         arrays += [
-            state.precision, state.precision_inv, state.cross_cov,
-            state.loading_mean, state.expansion,
+            state.precision, state.precision_inv, state.cross_cov, state.loading_mean,
         ]
+    return arrays
+
+
+def earlier_arrays(model, data):
+    """The arrays, by name, of a model file as earlier versions wrote it:
+    the model's, and the noise variances (P, D1) and expansion points
+    (P, D - 1) of each categorical block at their optima for its scores,
+    as noise_variance and cat<m>_expansion."""
+    arrays = {"scores": model.scores}
+    if model.gaussian is not None:
+        arrays.update(gaussian_mean=model.gaussian.mean, gaussian_cov=model.gaussian.cov)
+    for m, state in enumerate(model.categoricals):
+        for name in ("precision", "precision_inv", "cross_cov", "loading_mean"):
+            arrays[f"cat{m}_{name}"] = getattr(state, name)
+    sigma2, psis = optimal_theta(
+        data, model.spec, model.scores, model.gaussian, model.categoricals
+    )
+    if sigma2 is not None:
+        arrays["noise_variance"] = sigma2
+    for m, psi in enumerate(psis):
+        arrays[f"cat{m}_expansion"] = psi
     return arrays
 
 
@@ -228,8 +248,8 @@ class TestFitContracts:
         spec = ModelSpec(n_factors=2, max_iters=15, seed=11)
         a = fit(synth.dataset, spec)
         b = fit(synth.dataset, spec)
-        np.testing.assert_array_equal(a.scores, b.scores)
-        np.testing.assert_array_equal(a.noise_variance, b.noise_variance)
+        for got, want in zip(model_arrays(a), model_arrays(b), strict=True):
+            np.testing.assert_array_equal(got, want)
         assert a.objective_trace == b.objective_trace
 
     def test_deterministic_across_khatri_rao_blocks(self):
@@ -245,9 +265,8 @@ class TestFitContracts:
         a = fit(synth.dataset, spec)
         b = fit(synth.dataset, spec)
         assert a.objective_trace == b.objective_trace
-        np.testing.assert_array_equal(a.scores, b.scores)
-        np.testing.assert_array_equal(a.noise_variance, b.noise_variance)
-        np.testing.assert_array_equal(a.gaussian.cov, b.gaussian.cov)
+        for got, want in zip(model_arrays(a), model_arrays(b), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_gaussian_only_recovers_structure(self):
         # no categorical block: plain Bayesian factor analysis; recovered
@@ -342,13 +361,14 @@ class TestSurrogateObjective:
         Y = synth.dataset.gaussian
         C = model.scores
         total = 0.0
+        sigma2, _ = optimal_theta(synth.dataset, spec, C, model.gaussian, [])
         for j in range(2):
             a = model.gaussian.mean[j, 0]
             b = np.sqrt(model.gaussian.cov[j, 0, 0])
             u = a + b * nodes  # quadrature points of the loading posterior
             w = weights / weights.sum()
             for i in range(3):
-                s2 = model.noise_variance[i, j]
+                s2 = sigma2[i, j]
                 loglik = -0.5 * (
                     np.log(2 * np.pi * s2) + (Y[i, j] - u * C[0, i]) ** 2 / s2
                 )
@@ -369,15 +389,60 @@ class TestSurrogateObjective:
     def test_trace_matches_final_objective(self):
         synth = small_dataset(seed=21)
         model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=10, seed=2))
-        assert surrogate_objective(model, synth.dataset) == pytest.approx(
-            model.objective_trace[-1], abs=1e-9
+        assert_surrogate_bounds_trace(model, synth.dataset)
+
+    def test_trace_entry_is_objective_at_previous_scores_theta(self):
+        # a map evaluation's trace entry is the objective at its new scores
+        # and posteriors, with the noise variances and expansion points of
+        # the scores it started from
+        data = objective_datasets()["masked-two-block"]
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=10, seed=2, accelerate=False)
+        scores = []
+        model = fit(data, spec, callback=lambda _, m: scores.append(m.scores.copy()))
+        want = reference_objective(
+            data, spec, model.scores, model.gaussian, model.categoricals, source=scores[-2]
         )
+        assert model.objective_trace[-1] == pytest.approx(want, rel=1e-12)
 
 
-def reference_objective(data, spec, C, gauss_state, sigma2, cat_states):
-    """The surrogate objective term by term: residual and quadratic-form
-    expected Gaussian log-likelihood, the expected bounded multinomial
-    log-likelihood, and every prior and entropy term."""
+def assert_surrogate_bounds_trace(model, data):
+    """surrogate_objective puts the noise variances and expansion points at
+    their optima for the model's scores: it is the term-by-term objective
+    there, and no lower than the last trace entry, whose are those of the
+    scores before."""
+    got = surrogate_objective(model, data)
+    last = model.objective_trace[-1]
+    assert got >= last - 1e-9 * abs(last), (got, last)
+    want = reference_objective(
+        data, model.spec, model.scores, model.gaussian, model.categoricals
+    )
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def optimal_theta(data, spec, C, gauss_state, cat_states):
+    """The noise variances (P, D1) and the expansion points, (P, D - 1) per
+    categorical block, at their optima for scores C: the closed-form
+    M-step, ((y - mean_j.c)^2 + c^T cov_j c + 2 / beta) / (2 alpha + 3) at
+    observed entries and the prior mode at hidden ones, and psi = M^T c."""
+    sigma2 = None
+    if data.gaussian is not None:
+        resid = data.gaussian - C.T @ gauss_state.mean.T
+        quad = np.einsum("kp,jkl,lp->pj", C, gauss_state.cov, C)
+        sigma2 = (resid**2 + quad + 2.0 / spec.beta) / (2.0 * spec.alpha + 3.0)
+        prior_mode = 1.0 / (spec.beta * (spec.alpha + 1.0))
+        sigma2 = np.where(data.observed_mask(), sigma2, prior_mode)
+    return sigma2, [C.T @ state.loading_mean for state in cat_states]
+
+
+def reference_objective(data, spec, C, gauss_state, cat_states, source=None):
+    """The surrogate objective term by term at scores C, with the noise
+    variances and expansion points at their optima for the scores source
+    (C if None): residual and quadratic-form expected Gaussian
+    log-likelihood, the expected bounded multinomial log-likelihood, and
+    every prior and entropy term."""
+    sigma2, psis = optimal_theta(
+        data, spec, C if source is None else source, gauss_state, cat_states
+    )
     total = 0.0
     if data.gaussian is not None:
         k = gauss_state.n_factors
@@ -398,10 +463,10 @@ def reference_objective(data, spec, C, gauss_state, sigma2, cat_states):
             - (spec.alpha + 1.0) * np.log(sigma2) - rate / sigma2
         )
         total += np.where(mask, logprior, 0.0).sum()
-    for state, block in zip(cat_states, data.categoricals):
+    for state, block, psi in zip(cat_states, data.categoricals, psis):
         k, d = state.n_factors, state.n_categories - 1
         total += mmod.expected_bound_loglik(
-            state, block.counts, block.trials, state.expansion, C
+            state, block.counts, block.trials, psi, C
         ).sum()
         tr_cov = d * (np.trace(state.precision_inv) + np.trace(state.cross_cov))
         total += -0.5 * (np.sum(state.loading_mean**2) + tr_cov) + 0.5 * d * k
@@ -453,9 +518,7 @@ class TestObjectiveFromScoreSystem:
         if mode == "nonnegative":
             C = np.abs(C)
         got = surrogate_objective(replace(model, scores=C), data)
-        want = reference_objective(
-            data, spec, C, model.gaussian, model.noise_variance, model.categoricals
-        )
+        want = reference_objective(data, spec, C, model.gaussian, model.categoricals)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_adjusted_counts_once_per_block_per_iteration(self, monkeypatch):
@@ -527,9 +590,7 @@ class TestSquarem:
         assert model.objective_trace == plain.objective_trace
         for got, want in zip(model_arrays(model), model_arrays(plain), strict=True):
             np.testing.assert_array_equal(got, want)
-        assert surrogate_objective(model, data) == pytest.approx(
-            model.objective_trace[-1], abs=1e-9
-        )
+        assert_surrogate_bounds_trace(model, data)
 
     @pytest.mark.parametrize(
         "dataset", ["masked-two-block", "gaussian-only", "categorical-only"]
@@ -584,9 +645,7 @@ class TestSquarem:
         data = objective_datasets()["masked-two-block"]
         model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=max_iters, seed=3))
         assert model.iterations_run == max_iters
-        assert surrogate_objective(model, data) == pytest.approx(
-            model.objective_trace[-1], abs=1e-9
-        )
+        assert_surrogate_bounds_trace(model, data)
 
     def test_reaches_plain_objective_in_a_third_of_the_evaluations(self):
         data = objective_datasets()["masked-two-block"]
@@ -872,7 +931,7 @@ class TestBlockPool:
             "model = mmfa.fit(data, mmfa.ModelSpec(n_factors=4, max_iters=12, seed=1))\n"
             "scores, loglik = mmfa.score_dataset(model, data)\n"
             "digest = hashlib.sha256()\n"
-            "for a in (model.scores, model.noise_variance, model.gaussian.cov,\n"
+            "for a in (model.scores, model.gaussian.mean, model.gaussian.cov,\n"
             "          np.array(model.objective_trace), scores, loglik):\n"
             "    digest.update(np.ascontiguousarray(a).tobytes())\n"
             "print(digest.hexdigest())\n"
@@ -1016,15 +1075,9 @@ class TestModelIO:
         synth = sample_dataset(cfg)
         model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=8, seed=7))
         loaded = self._roundtrip(model, tmp_path)
-        np.testing.assert_array_equal(loaded.scores, model.scores)
-        np.testing.assert_array_equal(loaded.noise_variance, model.noise_variance)
-        np.testing.assert_array_equal(loaded.gaussian.mean, model.gaussian.mean)
-        np.testing.assert_array_equal(loaded.gaussian.cov, model.gaussian.cov)
         assert len(loaded.categoricals) == 2
-        for got, want in zip(loaded.categoricals, model.categoricals):
-            np.testing.assert_array_equal(got.precision, want.precision)
-            np.testing.assert_array_equal(got.loading_mean, want.loading_mean)
-            np.testing.assert_array_equal(got.expansion, want.expansion)
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want)
         assert loaded.objective_trace == model.objective_trace
         assert loaded.spec == model.spec
         assert loaded.converged == model.converged
@@ -1045,10 +1098,20 @@ class TestModelIO:
         save_model(model, path)
         assert (tmp_path / "big.mmfa.bin").exists()
         loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.scores, model.scores)
-        np.testing.assert_array_equal(
-            loaded.categoricals[0].expansion, model.categoricals[0].expansion
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_sidecar_holds_scores_and_posteriors_only(self, tmp_path):
+        # nothing per instance beyond its K scores: K P + D1 K + D1 K^2
+        # values, and 3 K^2 + K (D - 1) per categorical block
+        data = objective_datasets()["masked-two-block"]
+        k, p, d1 = 2, data.n_instances, data.n_gaussian
+        model = fit(data, ModelSpec(n_factors=k, max_iters=3, seed=1))
+        save_model(model, tmp_path / "model.mmfa")
+        values = k * p + d1 * k + d1 * k * k + sum(
+            3 * k * k + k * (d - 1) for d in data.category_counts
         )
+        assert (tmp_path / "model.mmfa.bin").stat().st_size == 8 * values
 
     def test_failed_overwrite_keeps_old_model(self, tmp_path, monkeypatch):
         import mmfa.model as model_module
@@ -1084,38 +1147,10 @@ class TestModelIO:
             n_factors=2, n_instances=25, n_gaussian=3, n_categories=(3, 5),
             n_trials=4, missing_fraction=0.2, seed=9,
         )
-        model = fit(sample_dataset(cfg).dataset, ModelSpec(n_factors=2, max_iters=8))
-        arrays = {
-            "scores": model.scores,
-            "gaussian_mean": model.gaussian.mean,
-            "gaussian_cov": model.gaussian.cov,
-            "noise_variance": model.noise_variance,
-        }
-        for m, state in enumerate(model.categoricals):
-            arrays.update({
-                f"cat{m}_precision": state.precision,
-                f"cat{m}_precision_inv": state.precision_inv,
-                f"cat{m}_cross_cov": state.cross_cov,
-                f"cat{m}_loading_mean": state.loading_mean,
-                f"cat{m}_expansion": state.expansion,
-            })
-        doc = {
-            "schema_version": 1,
-            "spec": {
-                name: getattr(model.spec, name)
-                for name in ModelSpec.__dataclass_fields__
-            },
-            "n_category_list": [3, 5],
-            "iterations_run": model.iterations_run,
-            "converged": model.converged,
-            "objective_trace": model.objective_trace,
-            "arrays": {
-                name: {"shape": list(a.shape), "values": a.ravel(order="F").tolist()}
-                for name, a in sorted(arrays.items())
-            },
-        }
+        data = sample_dataset(cfg).dataset
+        model = fit(data, ModelSpec(n_factors=2, max_iters=8))
         path = tmp_path / "old.mmfa"
-        path.write_text(json.dumps(doc, sort_keys=True))
+        self._write_inline(model, earlier_arrays(model, data), path)
         loaded = load_model(path)
         for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
             np.testing.assert_array_equal(got, want, strict=True)
@@ -1124,6 +1159,69 @@ class TestModelIO:
         assert loaded.spec == model.spec
         # written before the extrapolation counts were recorded
         assert loaded.extrapolations == loaded.extrapolations_rejected == 0
+
+    @staticmethod
+    def _write_inline(model, arrays, path):
+        """A model file as earlier versions wrote one under 100k elements:
+        one JSON document with every matrix inline, column-major, no blob
+        and no extrapolation counts."""
+        doc = {
+            "schema_version": 1,
+            "spec": {
+                name: getattr(model.spec, name)
+                for name in ModelSpec.__dataclass_fields__
+            },
+            "n_category_list": model.category_counts,
+            "iterations_run": model.iterations_run,
+            "converged": model.converged,
+            "objective_trace": model.objective_trace,
+            "arrays": {
+                name: {"shape": list(a.shape), "values": a.ravel(order="F").tolist()}
+                for name, a in sorted(arrays.items())
+            },
+        }
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return doc
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    def test_per_entry_arrays_of_earlier_versions_load_unread(
+        self, tmp_path, monkeypatch, inline
+    ):
+        # earlier versions also stored the noise variances and expansion
+        # points of the fit's last state; such a model loads bit for bit,
+        # scores the same, and its per-entry arrays are never read
+        import mmfa.model as model_module
+
+        data = objective_datasets()["masked-two-block"]
+        model = fit(data, ModelSpec(n_factors=2, max_iters=8, seed=3))
+        arrays = earlier_arrays(model, data)
+        path = tmp_path / "old.mmfa"
+        if inline:
+            doc = self._write_inline(model, arrays, path)
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_collect_arrays", lambda _: arrays)
+                save_model(model, path)
+            doc = json.loads(path.read_text())
+        dropped = ["noise_variance", "cat0_expansion", "cat1_expansion"]
+        assert set(dropped) < set(doc["arrays"])
+        read = []
+        read_array = model_module._read_array
+
+        def recording(entry, blob):
+            read.append(entry)
+            return read_array(entry, blob)
+
+        monkeypatch.setattr(model_module, "_read_array", recording)
+        loaded = load_model(path)
+        assert len(read) == len(model_arrays(model))
+        assert not [entry for entry in read if entry in [doc["arrays"][n] for n in dropped]]
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+        got_scores, got_loglik = mmfa.score_dataset(loaded, data)
+        want_scores, want_loglik = mmfa.score_dataset(model, data)
+        np.testing.assert_array_equal(got_scores, want_scores)
+        np.testing.assert_array_equal(got_loglik, want_loglik)
 
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)
@@ -1176,7 +1274,8 @@ class TestModelIO:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(loaded.noise_variance, model.noise_variance)
+        for got, want in zip(model_arrays(loaded), model_arrays(model), strict=True):
+            np.testing.assert_array_equal(got, want)
         assert peak <= sum(sizes) + 14000 * 8 + 64 * 1024, (peak, sum(sizes))
 
     @pytest.mark.parametrize("chunk_values", [1, 7, 1 << 16])

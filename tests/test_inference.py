@@ -73,7 +73,6 @@ def gaussian_point_model(mean, noise_variance, spec=None):
         spec=spec,
         scores=np.zeros((k, 0)),
         gaussian=GaussianState(mean=mean, cov=np.zeros((d1, k, k))),
-        noise_variance=np.zeros((0, d1)),
     )
 
 
@@ -128,16 +127,12 @@ class TestScoreInstance:
             "scores": model.scores.copy(),
             "mean": model.gaussian.mean.copy(),
             "loading": model.categoricals[0].loading_mean.copy(),
-            "expansion": model.categoricals[0].expansion.copy(),
         }
         score_dataset(model, synth.dataset)
         np.testing.assert_array_equal(model.scores, before["scores"])
         np.testing.assert_array_equal(model.gaussian.mean, before["mean"])
         np.testing.assert_array_equal(
             model.categoricals[0].loading_mean, before["loading"]
-        )
-        np.testing.assert_array_equal(
-            model.categoricals[0].expansion, before["expansion"]
         )
 
 
@@ -153,33 +148,38 @@ class TestSharedScoreSystem:
             )
         )
         # plain EM: the values pinned below are of its 60-iteration model
+        scores = []
         model = fit(
-            synth.dataset, ModelSpec(n_factors=2, max_iters=60, seed=3, accelerate=False)
+            synth.dataset, ModelSpec(n_factors=2, max_iters=60, seed=3, accelerate=False),
+            callback=lambda _, m: scores.append(m.scores.copy()),
         )
-        return synth.dataset, model
+        return synth.dataset, model, scores[-2]
 
     def test_final_solve_reproduces_fitted_scores(self, masked_two_blocks):
-        # fit updates no state after its last score solve
-        data, model = masked_two_blocks
-        weights = gmod._weighted(
-            model.noise_variance, gmod._observed(data.gaussian, data.mask), data.mask
+        # fit updates no state after its last score solve, which it takes
+        # at the noise-variance M-step and expansion points of the scores
+        # before
+        data, model, source = masked_two_blocks
+        spec = model.spec
+        Y = gmod._observed(data.gaussian, data.mask)
+        sigma2 = gmod.gaussian_m_step(
+            model.gaussian, source, Y, data.mask, spec.alpha, spec.beta
         )
         H, rho = score_system(
-            data, model.gaussian, weights, model.categoricals,
+            data, model.gaussian, gmod._weighted(sigma2, Y, data.mask), model.categoricals,
             [
                 # category-first, as the fit passes it
-                bound_terms(block.counts, block.trials, state.expansion).T
+                bound_terms(block.counts, block.trials, source.T @ state.loading_mean).T
                 for block, state in zip(data.categoricals, model.categoricals)
             ],
         )
-        spec = model.spec
         scores = solve_scores_batch(H, rho, spec.score_update, spec.ridge_weight)
         np.testing.assert_allclose(scores.T, model.scores, rtol=1e-12, atol=0)
 
     def test_score_dataset_matches_pinned_values(self, masked_two_blocks):
         # the converged scores, pinned when scoring took Newton steps; the
         # MM iteration it replaced agrees to 3.2e-7 at 5000 steps
-        data, model = masked_two_blocks
+        data, model, _ = masked_two_blocks
         assert model.objective_trace[-1] == pytest.approx(
             -1303.2102584267327, rel=1e-12
         )
@@ -373,9 +373,8 @@ class TestHiddenEntries:
             nan_model.objective_trace, finite_model.objective_trace
         )
         np.testing.assert_array_equal(nan_model.scores, finite_model.scores)
-        np.testing.assert_array_equal(
-            nan_model.noise_variance, finite_model.noise_variance
-        )
+        np.testing.assert_array_equal(nan_model.gaussian.mean, finite_model.gaussian.mean)
+        np.testing.assert_array_equal(nan_model.gaussian.cov, finite_model.gaussian.cov)
         for got, want in zip(
             score_dataset(nan_model, nan_data), score_dataset(finite_model, data)
         ):
@@ -589,7 +588,6 @@ class TestCategoryProbabilities:
                 precision_inv=np.eye(1),
                 cross_cov=np.zeros((1, 1)),
                 loading_mean=np.array([[np.log(2.0)]]),
-                expansion=np.zeros((0, 1)),
             )
         ]
         data = HeteroDataset(

@@ -356,7 +356,7 @@ class TestPsiUpdate:
         trials += 1.0  # make every instance carry data
         ztilde = bound_terms(counts, trials, psi0)
         state = e_step(C, trials, ztilde, d2)
-        state.expansion = psi_update(state.loading_mean, C)
+        psi = psi_update(state.loading_mean, C)
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
         A = dense_curvature(d2)
 
@@ -375,7 +375,7 @@ class TestPsiUpdate:
             return val
 
         for i in range(p):
-            best = state.expansion[i]
+            best = psi[i]
             base = neg_expected_bound(i, best)
             for d in range(d2 - 1):
                 for eps in np.linspace(-0.2, 0.2, 41):
@@ -489,7 +489,6 @@ class TestBoundConsistency:
         C, trials, counts, psi = random_instance(rng, k, p, d2)
         ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, d2)
-        state.expansion = psi
         got = expected_bound_loglik(state, counts, trials, psi, C)
         A = dense_curvature(d2)
         base = score_base(state)
