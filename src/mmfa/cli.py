@@ -85,16 +85,12 @@ def _load_json(path):
 
 def _cmd_fit(args):
     dataset = dataio.load_dataset(args.manifest)
-    mode = "nonnegative" if args.nonneg else "ridge"
-    ridge = args.ridge if args.ridge is not None else 1e-6
-    if not args.nonneg and ridge == 0.0:
-        mode = "unconstrained"
     spec = ModelSpec(
         n_factors=args.k,
         alpha=args.alpha,
         beta=args.beta,
-        score_update=mode,
-        ridge_weight=ridge if mode == "ridge" else 0.0,
+        score_update="nonnegative" if args.nonneg else "ridge",
+        ridge_weight=args.ridge,
         tol=args.tol,
         max_iters=args.max_iters,
         seed=args.seed,
@@ -307,9 +303,9 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="fit a model to a dataset manifest")
     p_fit.add_argument("manifest")
     p_fit.add_argument("--k", type=int, required=True, help="number of factors")
-    p_fit.add_argument("--ridge", type=float, default=None,
+    p_fit.add_argument("--ridge", type=float, default=1e-6,
                        help="ridge weight for score updates (default 1e-6; 0 "
-                            "switches to the unconstrained solve)")
+                            "is the plain solve; --nonneg ignores it)")
     p_fit.add_argument("--nonneg", action="store_true",
                        help="constrain scores to be nonnegative")
     p_fit.add_argument("--alpha", type=float, default=1.0)

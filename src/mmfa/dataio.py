@@ -3,10 +3,10 @@
 Each matrix a manifest names is read by its file suffix: a ``.npy`` file
 (NumPy's own format) holds a 2-D little-endian float64 array, or a bool
 array for the mask; any other file is a CSV under one header row.
-:func:`save_dataset` writes the data matrices as ``.npy`` files, which
-round-trip bit for bit and are byte-identical across saves of equal
-data. Ground truth and labels stay CSV, and a user may write any matrix
-by hand as a CSV.
+:func:`save_dataset` writes the data matrices and a simulation's ground
+truth as ``.npy`` files, which round-trip bit for bit and are
+byte-identical across saves of equal data. Labels stay CSV, and a user
+may write any matrix by hand as a CSV.
 
 All numeric CSV output is written with 17 significant digits (FLOAT_FORMAT)
 so values survive a write/read round trip exactly. Matrices are written a
@@ -164,11 +164,13 @@ def load_dataset(manifest_path):
 def save_dataset(directory, dataset, ground_truth=None, labels=None):
     """Write a dataset as a manifest and .npy matrices: ``gaussian.npy``
     (``<f8``), ``gaussian_mask.npy`` (``bool``) and ``cat_<m>.npy``
-    (``<f8`` full counts). Ground truth and labels go out as CSVs.
+    (``<f8`` full counts). Labels go out as ``labels.csv``.
 
     ground_truth, when given, is a :class:`mmfa.synth.SyntheticData`;
-    its latent matrices land next to the data so experiments can check
-    recovery. Returns the manifest path.
+    its latent matrices land next to the data as ``<f8`` .npy files so
+    experiments can check recovery: ``scores_true.npy`` (P, K),
+    ``gaussian_loadings.npy`` (D1, K) and ``cat_<m>_loadings.npy``
+    (K, D2-1). No manifest entry names them. Returns the manifest path.
     """
     os.makedirs(directory, exist_ok=True)
 
@@ -193,24 +195,13 @@ def save_dataset(directory, dataset, ground_truth=None, labels=None):
         doc["categoricals"].append(entry)
 
     if ground_truth is not None:
-        k = ground_truth.scores.shape[0]
-        write_matrix_csv(
-            full("scores_true.csv"),
-            ground_truth.scores.T,
-            [f"k{i}" for i in range(k)],
-        )
+        _write_npy(full("scores_true.npy"), ground_truth.scores.T, "<f8")
         if ground_truth.gaussian_loadings is not None:
-            write_matrix_csv(
-                full("gaussian_loadings.csv"),
-                ground_truth.gaussian_loadings,
-                [f"k{i}" for i in range(k)],
+            _write_npy(
+                full("gaussian_loadings.npy"), ground_truth.gaussian_loadings, "<f8"
             )
         for m, vm in enumerate(ground_truth.categorical_loadings):
-            write_matrix_csv(
-                full(f"cat_{m}_loadings.csv"),
-                vm,
-                [f"c{j}" for j in range(vm.shape[1])],
-            )
+            _write_npy(full(f"cat_{m}_loadings.npy"), vm, "<f8")
     if labels is not None:
         write_matrix_csv(
             full("labels.csv"), np.asarray(labels, dtype=float)[:, None], ["outlier"]

@@ -199,11 +199,11 @@ def _initial_theta(spec, Y, cat_states, b):
     """The noise variances and expansion points of a fit's or scoring's
     initial state at b instances with Gaussian data Y, or None without a
     Gaussian block: the prior mode at every entry, and psi = 0 in the
-    (b, D - 1) layout of :func:`multinomial.psi_update`."""
+    category-first (D - 1, b) layout of :func:`multinomial.psi_update`."""
     sigma2 = None
     if Y is not None:
         sigma2 = np.full(Y.shape, gmod.prior_mode_variance(spec.alpha, spec.beta))
-    return sigma2, [np.zeros((b, state.n_categories - 1)) for state in cat_states]
+    return sigma2, [np.zeros((state.n_categories - 1, b)) for state in cat_states]
 
 
 def _local_step(data, spec, gauss_state, cat_states, scores, rows,
@@ -212,8 +212,8 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
 
     scores (K, b) are the block's current scores. Its noise variances are
     sigma2 or, if None, their M-step (:func:`gaussian.gaussian_m_step`)
-    at scores; its expansion points are psis or, if None,
-    psi = loading_mean^T C at scores, both category-first (D - 1, b).
+    at scores; its expansion points are psis or, if None, their optima
+    at scores (:func:`multinomial.psi_update`), category-first (D - 1, b).
     From them come the Gaussian weights, the adjusted counts (with their
     bound offsets if offsets, which only the objective reads;
     :func:`multinomial._bound_terms`) and the score system
@@ -235,7 +235,7 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
         blk.sigma2 = sigma2
         blk.weights = gmod._weighted(sigma2, blk.Y, blk.mask)
     if psis is None:
-        psis = [state.loading_mean.T @ scores for state in cat_states]
+        psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
     blk.psis = psis
     adjusted = [
         mmod._bound_terms(block.counts[rows].T, block.trials[rows], psi, offsets)
@@ -259,7 +259,7 @@ def _walk(data, model, log_coefficient, update, hook=None):
     current scores and writes the scores it solves for into the model's.
     Without, each block keeps its scores, and its noise variances and
     expansion points are those hook gives or, with no hook, their optima
-    at the scores: the M-step and psi = loading_mean^T C. The objective
+    at the scores: the M-step and :func:`multinomial.psi_update`. The objective
     is the surrogate at the scores the model then holds: the blocks'
     sum_i (rho_i^T c_i - c_i^T (H_i + ridge I) c_i / 2), (H, rho) the
     unridged score system, plus the terms free of the scores, those of
@@ -274,7 +274,7 @@ def _walk(data, model, log_coefficient, update, hook=None):
     (:func:`gaussian._observed`) and mask. With update, hook(rows, Y,
     mask, scores, sigma2, psis) gets the block's new theta before it
     overwrites the model's scores. Without, hook(rows, Y, mask) runs first
-    and returns the block's (sigma2, psis), psis (b, D - 1) each; if it
+    and returns the block's (sigma2, psis), psis (D - 1, b) each; if it
     returns None the block is skipped, leaving the results partial.
 
     The blocks run on several threads (:func:`_blocks_in_order`). Each
@@ -307,7 +307,7 @@ def _walk(data, model, log_coefficient, update, hook=None):
                 theta = hook(rows, Y, mask)
                 if theta is None:
                     return ([], []), None
-                sigma2, psis = theta[0], [psi.T for psi in theta[1]]
+                sigma2, psis = theta
             blk = _local_step(
                 data, spec, gauss_state, cat_states, scores, rows,
                 sigma2=sigma2, psis=psis, offsets=True, Y=Y, bases=bases,
@@ -331,11 +331,9 @@ def _walk(data, model, log_coefficient, update, hook=None):
         # Gaussian ones too would cost a W1 fit 14 MB
         held, new_sigma2 = (blk.psis, blk.ztildes, blk.offsets), blk.sigma2
         if update:
+            psis = blk.psis
             del blk  # H and the weights go before the hook allocates: 2.5 MB of W1's peak
             if hook is not None:
-                # by a second product, not a transposing copy of blk.psis,
-                # which costs 8 times as much at 512 categories
-                psis = [mmod.psi_update(state.loading_mean, scores) for state in cat_states]
                 hook(rows, Y, mask, c.T, new_sigma2, psis)
             C[:, rows] = c.T
         return (terms, parts), held
@@ -388,7 +386,7 @@ def surrogate_objective(model, data):
     each with their prior and posterior-entropy parts, minus the ridge
     penalty when that score mode is active, at the model's scores with the
     noise variances and expansion points at their optima for them (the
-    M-step and psi = loading_mean^T C). It is read off the score system
+    M-step and :func:`multinomial.psi_update`). It is read off the score system
     built there by :func:`score_system`, through the same pass over
     instance blocks that :func:`fit` takes. Both updates are exact
     coordinate ascent from the fit's last state, so it is no lower than
@@ -403,12 +401,12 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
     """Solve every instance's score quadratic program.
 
     H: (P, K, K) symmetric PSD stack, rho: (P, K). Modes:
-      unconstrained - SPD solve of H c = rho
-      ridge         - SPD solve of (H + ridge I) c = rho
-      nonnegative   - accelerated projected gradient on the constrained
-                      QP; each instance stops once its componentwise KKT
-                      residual drops below 1e-8
-    The SPD modes factor each system once, L L^T, by a Cholesky vectorized
+      ridge       - SPD solve of (H + ridge_weight I) c = rho; at
+                    ridge_weight 0 the plain solve of H c = rho
+      nonnegative - accelerated projected gradient on the constrained QP,
+                    ignoring ridge_weight; each instance stops once its
+                    componentwise KKT residual drops below 1e-8
+    The ridge mode factors each system once, L L^T, by a Cholesky vectorized
     across instances, then substitute forward and back against L. The
     factor works in a (K, K, P) array: an H that is a view of one, as
     :func:`score_system` returns once it has unpacked its packed systems,
@@ -425,8 +423,7 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
         raise NumericalError("non-finite score system")
     if mode == "nonnegative":
         return _nonneg_qp_batch(H, rho, warm_start)
-    lam = ridge_weight if mode == "ridge" else 0.0
-    return _substitute(_cholesky_batch(H, lam), rho.T).T
+    return _substitute(_cholesky_batch(H, ridge_weight), rho.T).T
 
 
 def _substitute(L, rhs):
@@ -464,8 +461,8 @@ def _cholesky_batch(H, lam, flag=False):
         if not good.all():
             if not flag:
                 raise NumericalError(
-                    "singular score system; add ridge regularization "
-                    "(score_update='ridge')"
+                    "singular score system; a ridge of ridge_weight > 0 "
+                    "makes it positive definite"
                 )
             ok &= good
             pivot[~good] = 1.0  # the flagged instances' columns go on finite
@@ -573,7 +570,8 @@ def _differences(theta0, theta1, theta2):
 
 class _Squarem:
     """SQUAREM's record of a fit (Varadhan & Roland 2008, step length S3)
-    over theta = (scores, log noise variances, expansion points).
+    over theta = (scores, log noise variances, expansion points), a block's
+    (K, b), (b, D1) and, per categorical block, (D - 1, b).
 
     A map evaluation computes each block's noise variances and expansion
     points from the scores it starts from and the loading posteriors it
@@ -605,7 +603,7 @@ class _Squarem:
 
     def _recorded(self, record, rows, Y, mask):
         """theta of a recorded iterate at rows, as new arrays: scores (K, b),
-        log noise variances (b, D1) and expansion points (b, D - 1), from
+        log noise variances (b, D1) and expansion points (D - 1, b), from
         the rows' Gaussian data Y (:func:`gaussian._observed`) and mask."""
         scores, prev, gauss, cats = record
         spec = self.model.spec
@@ -741,7 +739,6 @@ def fit(data, spec, callback=None):
         raise TypeError("spec must be a ModelSpec")
     data.validate()
     data.require_covered_features()
-    spec.check_data(data)
     spec.warn_if_factor_heavy(data.n_gaussian, data.category_counts)
 
     k, p = spec.n_factors, data.n_instances

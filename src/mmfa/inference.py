@@ -200,7 +200,7 @@ class _Point:
         zero = np.zeros((idx.size, model.n_factors))
         blk = _local_step(
             data, spec, model.gaussian, model.categoricals, zero.T, rows,
-            sigma2=sigma2, psis=[psi.T for psi in psis], Y=Y, bases=terms.bases,
+            sigma2=sigma2, psis=psis, Y=Y, bases=terms.bases,
         )
         c = solve_scores_batch(
             blk.H, blk.rho, spec.score_update, spec.ridge_weight, warm_start=zero
@@ -221,7 +221,7 @@ class _Point:
             g -= (spec.alpha + 1.5) * np.log(sigma2).sum(axis=1)
         psis, probs = [], []
         for (M, S, _, _), z, n in zip(terms.cats, self.counts, self.trials):
-            psi = M.T @ c.T
+            psi = mmod.psi_update(M, c.T)
             prob, lse = mmod._softmax(psi)
             g += np.einsum("dn,dn->n", z, psi) - n * lse
             g -= 0.5 * n * np.einsum("nk,nk->n", c @ S, c)
@@ -464,7 +464,8 @@ def category_probabilities(model, data, i, modality):
         raise ValueError(f"no categorical modality {modality}")
     score = score_instance(model, data, i)
     state = model.categoricals[modality]
-    return mmod._probabilities((state.loading_mean.T @ score.scores)[:, None])[0]
+    psi = mmod.psi_update(state.loading_mean, score.scores[:, None])
+    return mmod._probabilities(psi)[0]
 
 
 def recall_at_k(

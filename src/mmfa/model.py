@@ -6,8 +6,9 @@ matrices in column-major order, each referenced by byte offset from the
 JSON document. The two files round-trip bit exactly and move together.
 A model holds its scores and loading posteriors, not the per-entry noise
 variances and expansion points that follow from them. Models written by
-earlier versions, inline in the JSON document or with those arrays
-(which are not read), still load.
+earlier versions, inline in the JSON document, with those arrays (which
+are not read) or with retired spec settings (:func:`_read_spec`), still
+load.
 """
 
 import contextlib
@@ -24,10 +25,12 @@ from .multinomial import MultinomialState
 
 MODEL_SCHEMA_VERSION = 1
 
-SCORE_UPDATE_MODES = ("unconstrained", "ridge", "nonnegative")
+SCORE_UPDATE_MODES = ("ridge", "nonnegative")
 SIDECAR_CHUNK_VALUES = 1 << 18
 # the arrays of a MultinomialState a model file holds, as cat<m>_<field>
 _CATEGORICAL_FIELDS = ("precision", "precision_inv", "cross_cov", "loading_mean")
+# spec keys of earlier versions that no longer configure anything
+_RETIRED_SPEC_KEYS = ("n_gaussian", "n_categories")
 
 
 @dataclass
@@ -35,13 +38,13 @@ class ModelSpec:
     """Everything needed to reproduce a fit on compatible data.
 
     score_update selects how the per-instance quadratic program is
-    solved: a plain SPD solve, a ridge-regularized solve, or a
-    nonnegativity-constrained solve. accelerate runs the EM map
-    evaluations in safeguarded SQUAREM cycles (:func:`engine.fit`);
-    False runs plain EM, one kept iterate per evaluation, as the
-    score-recovery experiment does. max_iters caps map evaluations
-    either way. n_gaussian and n_categories, when given, pin the expected
-    data dimensions; fitting data of any other shape is then rejected.
+    solved: "ridge", the SPD solve of (H + ridge_weight I) c = rho, which
+    at ridge_weight=0 is the plain solve, or "nonnegative", the
+    nonnegativity-constrained solve, which ignores ridge_weight.
+    accelerate runs the EM map evaluations in safeguarded SQUAREM cycles
+    (:func:`engine.fit`); False runs plain EM, one kept iterate per
+    evaluation, as the score-recovery experiment does. max_iters caps map
+    evaluations either way.
     """
 
     n_factors: int
@@ -52,17 +55,16 @@ class ModelSpec:
     tol: float = 1e-6
     max_iters: int = 500
     seed: int = 0
-    n_gaussian: int = None
-    n_categories: tuple = None
     accelerate: bool = True
 
     def __post_init__(self):
         if self.n_factors < 1:
             raise ValueError("n_factors must be at least 1")
-        if self.n_categories is not None:
-            self.n_categories = tuple(int(d) for d in self.n_categories)
         if self.score_update not in SCORE_UPDATE_MODES:
-            raise ValueError(f"score_update must be one of {SCORE_UPDATE_MODES}")
+            raise ValueError(
+                f"score_update must be one of {SCORE_UPDATE_MODES}; the "
+                "unconstrained solve is 'ridge' with ridge_weight=0"
+            )
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if not self.tol > 0:
@@ -75,21 +77,6 @@ class ModelSpec:
     @property
     def effective_ridge(self):
         return self.ridge_weight if self.score_update == "ridge" else 0.0
-
-    def check_data(self, data):
-        if self.n_gaussian is not None and data.n_gaussian != self.n_gaussian:
-            raise DimensionMismatch(
-                f"spec expects {self.n_gaussian} gaussian features, "
-                f"data has {data.n_gaussian}"
-            )
-        if (
-            self.n_categories is not None
-            and tuple(data.category_counts) != self.n_categories
-        ):
-            raise DimensionMismatch(
-                f"spec expects categorical dims {list(self.n_categories)}, "
-                f"data has {data.category_counts}"
-            )
 
     def warn_if_factor_heavy(self, d1, d2s):
         dims = [d for d in [d1, *d2s] if d > 0]
@@ -268,6 +255,20 @@ def _read_arrays(doc, path, names):
         raise SchemaError(f"model blob {blob_path} unreadable: {exc}") from exc
 
 
+def _read_spec(fields):
+    """The :class:`ModelSpec` of a model file's spec. One written by an
+    earlier version may hold the retired data-dimension pins, which are
+    dropped, and score_update "unconstrained", which ignored ridge_weight:
+    it reads as "ridge" at ridge_weight 0, the same solve. Any other key
+    ModelSpec does not know raises TypeError."""
+    if not isinstance(fields, dict):
+        raise SchemaError("model spec is not a JSON object")
+    fields = {k: v for k, v in fields.items() if k not in _RETIRED_SPEC_KEYS}
+    if fields.get("score_update") == "unconstrained":
+        fields.update(score_update="ridge", ridge_weight=0.0)
+    return ModelSpec(**fields)
+
+
 def load_model(path):
     """Read a model written by :func:`save_model`.
 
@@ -293,7 +294,7 @@ def load_model(path):
         for m in range(len(doc["n_category_list"])):
             names += [f"cat{m}_{name}" for name in _CATEGORICAL_FIELDS]
         arrays = _read_arrays(doc, path, names)
-        spec = ModelSpec(**doc["spec"])
+        spec = _read_spec(doc["spec"])
         gaussian = None
         if "gaussian_mean" in arrays:
             gaussian = GaussianState(

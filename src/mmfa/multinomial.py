@@ -12,11 +12,11 @@ so every update works in K x K space: nothing of size (D2-1)K is ever
 formed, and one EM sweep costs O(K^2 P + K P D2). One batched Cholesky
 call gives all of it (:func:`_e_step_finish`).
 
-A fit's blocks hold their per-instance category arrays category-first,
-(D2-1, b): the expansion points psi = loading_mean^T C, the adjusted
-counts and the bound's terms (:func:`_bound_terms`), so that every
-reduction over the categories adds contiguous rows of b instances.
-:func:`psi_update` keeps the (P, D2-1) layout.
+Per-instance category arrays are category-first, (D2-1, b): the
+expansion points psi = loading_mean^T C (:func:`psi_update`, the one
+place they are formed), the adjusted counts and the bound's terms
+(:func:`_bound_terms`), so that every reduction over the categories adds
+contiguous rows of b instances.
 """
 
 import math
@@ -238,10 +238,9 @@ def psi_update(loading_mean, C):
     For Gaussian-distributed log-odds with mean m, the expected bound
     around psi exceeds the expected bound around m by the (nonnegative)
     bound gap evaluated at m, so the posterior-mean log-odds are the
-    exact minimizer. Returns (P, D-1); the fit's blocks take the same
-    product category-first, loading_mean^T C.
+    exact minimizer. Returns loading_mean^T C, category-first (D-1, P).
     """
-    return np.asarray(C).T @ np.asarray(loading_mean)
+    return np.asarray(loading_mean).T @ np.asarray(C)
 
 
 def score_base(state):
@@ -306,14 +305,15 @@ def expected_bound_loglik(state, counts, trials, expansion, C):
     the (lower-bound) term reported by predictive evaluation; it equals
     rho_i^T c_i - c_i^T H_i c_i / 2 with H_i = trials_i * :func:`score_base`
     and rho_i = loading_mean ztilde_i, plus the offset and coefficient
-    terms.
+    terms. counts is (P, D-1); the expansion points are category-first,
+    (D-1, P), as :func:`psi_update` gives them.
     """
     counts = np.asarray(counts, dtype=float)
     trials = np.asarray(trials, dtype=float)
     expansion = np.asarray(expansion, dtype=float)
     C = np.asarray(C, dtype=float)
 
-    ztilde, offset = _bound_terms(counts.T, trials, expansion.T, offsets=True)
+    ztilde, offset = _bound_terms(counts.T, trials, expansion, offsets=True)
     base = score_base(state)
     quad = np.sum(C * (base @ C), axis=0)  # einsum would stage K^2 P terms
     linear = np.sum((state.loading_mean @ ztilde) * C, axis=0)

@@ -15,8 +15,6 @@ import numpy as np
 from .dataset import HeteroDataset
 from .multinomial import MultinomialData, _probabilities
 
-OUTLIER_MECHANISMS = ("cross_modal",)
-
 
 @dataclass
 class GeneratorConfig:
@@ -29,7 +27,6 @@ class GeneratorConfig:
     noise_variance: float = 1.0
     missing_fraction: float = 0.0
     outlier_fraction: float = 0.0
-    outlier_mechanism: str = "cross_modal"
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +40,6 @@ class GeneratorConfig:
             raise ValueError("outlier_fraction must lie in [0, 1)")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
-        if self.outlier_mechanism not in OUTLIER_MECHANISMS:
-            raise ValueError(f"unknown outlier mechanism {self.outlier_mechanism!r}")
 
     def trials_array(self):
         if np.isscalar(self.n_trials):
@@ -99,23 +94,20 @@ def sample_dataset(config):
         categorical_loadings=V,
     )
     if config.outlier_fraction > 0:
-        synth, labels = inject_outliers(
-            synth, config.outlier_fraction, rng, config.outlier_mechanism
-        )
+        synth, labels = inject_outliers(synth, config.outlier_fraction, rng)
         synth.outlier_labels = labels
     return synth
 
 
-def inject_outliers(synth, fraction, seed, mechanism="cross_modal"):
-    """Resample the gaussian block of a fraction of instances from fresh
-    scores while their categorical blocks keep the original scores.
+def inject_outliers(synth, fraction, seed):
+    """Make a fraction of instances cross-modal outliers: resample their
+    gaussian block from fresh scores while their categorical blocks keep
+    the original scores.
 
-    The result is cross-modal inconsistency: each corrupted instance is
-    unremarkable within any single modality but implausible jointly.
-    Returns (new SyntheticData, boolean labels).
+    Each corrupted instance is then unremarkable within any single
+    modality but implausible jointly. Returns (new SyntheticData, boolean
+    labels).
     """
-    if mechanism not in OUTLIER_MECHANISMS:
-        raise ValueError(f"unknown outlier mechanism {mechanism!r}")
     if synth.gaussian_loadings is None:
         raise ValueError("cross-modal outliers need a gaussian block")
     if not 0.0 <= fraction < 1.0:

@@ -191,18 +191,17 @@ def test_a4_monotone_surrogate_objective():
             seed=run,
         )
         synth = sample_dataset(cfg)
-        mode = ("ridge", "unconstrained", "nonnegative")[run % 3]
+        # the cycle's second case is the plain solve, ridge at 0
+        mode, ridge = (("ridge", 1e-6), ("ridge", 0.0), ("nonnegative", 1e-4))[run % 3]
         spec = ModelSpec(
             n_factors=k,
             score_update=mode,
-            ridge_weight=1e-6 if mode == "ridge" else 1e-4,
+            ridge_weight=ridge,
             tol=1e-9,
             max_iters=40,
             seed=run + 1,
             beta=float(rng.uniform(0.1, 2.0)),
         )
-        if mode == "unconstrained":
-            spec.ridge_weight = 0.0
         model = fit(synth.dataset, spec)
         drops = -np.diff(model.objective_trace)
         worst_drop = max(worst_drop, float(drops.max(initial=0.0)))

@@ -69,6 +69,17 @@ class TestSimulate:
         assert code == 1
         assert "bogus" in err
 
+    def test_retired_outlier_mechanism_key(self, tmp_path, capsys):
+        # earlier versions took outlier_mechanism, whose one value was the
+        # cross-modal mechanism every simulation uses
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"outlier_mechanism": "cross_modal"}))
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg_path), "-o", str(tmp_path / "x")
+        )
+        assert code == 1
+        assert "unknown generator config keys: ['outlier_mechanism']" in err
+
 
 class TestFit:
     def test_fit_and_trace(self, sim_dir, tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_save_dataset_bytes_match_per_value_writer(tmp_path, monkeypatch):
     )
     names = sorted(p.name for p in (tmp_path / "want").iterdir())
     assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
-    assert len(names) == 10  # manifest, four .npy, five CSVs
+    assert len(names) == 10  # manifest, four data and four ground-truth .npy, labels
     match, mismatch, errors = filecmp.cmpfiles(
         tmp_path / "got", tmp_path / "want", names, shallow=False
     )
@@ -113,7 +113,16 @@ def test_dataset_roundtrip(tmp_path):
         np.testing.assert_array_equal(got.counts, want.counts)
         np.testing.assert_array_equal(got.trials, want.trials)
     assert (tmp_path / "data" / "labels.csv").exists()
-    assert (tmp_path / "data" / "scores_true.csv").exists()
+    truth = {
+        "scores_true": synth.scores.T,
+        "gaussian_loadings": synth.gaussian_loadings,
+        "cat_0_loadings": synth.categorical_loadings[0],
+        "cat_1_loadings": synth.categorical_loadings[1],
+    }
+    for name, want in truth.items():
+        got = np.load(tmp_path / "data" / f"{name}.npy", allow_pickle=False)
+        assert got.dtype == np.dtype("<f8")
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_manifest_missing_file(tmp_path):

@@ -60,7 +60,7 @@ def earlier_arrays(model, data):
     if sigma2 is not None:
         arrays["noise_variance"] = sigma2
     for m, psi in enumerate(psis):
-        arrays[f"cat{m}_expansion"] = psi
+        arrays[f"cat{m}_expansion"] = psi.T  # earlier versions' (P, D - 1)
     return arrays
 
 
@@ -100,7 +100,20 @@ def nonnegative_qp_exact(H, rho):
     return best[1]
 
 
-def solve_one(H, rho, mode="unconstrained", ridge_weight=0.0):
+# the cases of the score step, by test id: "unconstrained" is the ridge
+# solve at ridge_weight 0
+SCORE_MODES = ("unconstrained", "ridge", "nonnegative")
+
+
+def mode_spec(mode, ridge_weight=1e-6):
+    """ModelSpec's score_update and ridge_weight for the case mode of
+    SCORE_MODES, at ridge_weight where the case reads it."""
+    if mode == "unconstrained":
+        return {"score_update": "ridge", "ridge_weight": 0.0}
+    return {"score_update": mode, "ridge_weight": ridge_weight}
+
+
+def solve_one(H, rho, mode="ridge", ridge_weight=0.0):
     """One instance's score solve through the batch solver."""
     return solve_scores_batch(
         np.asarray(H, dtype=float)[None], np.asarray(rho, dtype=float)[None],
@@ -125,7 +138,7 @@ class TestUpdateScores:
         with pytest.raises(NumericalError, match="ridge"):
             solve_one(H, np.ones(2))
 
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
     @pytest.mark.parametrize("bad", ["H", "rho"])
     def test_non_finite_system_raises(self, mode, bad):
         H = np.stack([np.eye(2)] * 3)
@@ -134,8 +147,9 @@ class TestUpdateScores:
             H[1, 0, 0] = np.nan
         else:
             rho[2, 1] = np.inf
+        spec = mode_spec(mode)
         with pytest.raises(NumericalError, match="non-finite"):
-            solve_scores_batch(H, rho, mode, 1e-6)
+            solve_scores_batch(H, rho, spec["score_update"], spec["ridge_weight"])
 
     def test_nonnegative_matches_active_set_enumeration(self):
         rng = np.random.default_rng(5)
@@ -167,7 +181,9 @@ class TestUpdateScores:
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("p", [1, 7, 2000])
-    @pytest.mark.parametrize("mode,lam", [("unconstrained", 0.0), ("ridge", 0.3)])
+    @pytest.mark.parametrize("mode,lam", [
+        pytest.param("ridge", 0.0, id="unconstrained-0.0"), ("ridge", 0.3)
+    ])
     def test_matches_dense_solve(self, k, p, mode, lam):
         rng = np.random.default_rng(100 * k + p)
         M = rng.standard_normal((p, k, 2 * k + 3))
@@ -186,8 +202,11 @@ class TestUpdateScores:
         M = rng.standard_normal((9, 3, 5))
         H = M @ M.transpose(0, 2, 1)
         H[5] = np.diag([2.0, -1.0, 3.0])  # indefinite even with the ridge
+        spec = mode_spec(mode)
         with pytest.raises(NumericalError, match="singular score system"):
-            solve_scores_batch(H, rng.standard_normal((9, 3)), mode, 1e-6)
+            solve_scores_batch(
+                H, rng.standard_normal((9, 3)), spec["score_update"], spec["ridge_weight"]
+            )
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(9)
@@ -301,27 +320,19 @@ class TestFitContracts:
             categoricals=synth.dataset.categoricals,
         )
         spec = ModelSpec(
-            n_factors=2, score_update="unconstrained", ridge_weight=0.0,
-            max_iters=20, seed=0,
+            n_factors=2, score_update="ridge", ridge_weight=0.0, max_iters=20, seed=0,
         )
         with pytest.raises((NumericalError, FloatingPointError, ValueError)):
             fit(bad, spec)
+
+    def test_unconstrained_mode_names_ridge_zero(self):
+        with pytest.raises(ValueError, match="ridge_weight=0"):
+            ModelSpec(n_factors=2, score_update="unconstrained")
 
     def test_dimension_mismatch_rejected(self):
         synth = small_dataset()
         with pytest.raises(TypeError):
             fit(synth.dataset, spec="not a spec")
-
-    def test_spec_pinned_dims_enforced(self):
-        synth = small_dataset()
-        spec = ModelSpec(n_factors=2, n_gaussian=9, max_iters=1, tol=np.inf)
-        with pytest.raises(mmfa.DimensionMismatch, match="gaussian"):
-            fit(synth.dataset, spec)
-        spec = ModelSpec(
-            n_factors=2, n_categories=(4,), max_iters=1, tol=np.inf, seed=1
-        )
-        model = fit(synth.dataset, spec)  # matching dims pass through
-        assert model.iterations_run == 1
 
     def test_warns_when_factors_not_small(self):
         synth = small_dataset()
@@ -420,7 +431,7 @@ def assert_surrogate_bounds_trace(model, data):
 
 
 def optimal_theta(data, spec, C, gauss_state, cat_states):
-    """The noise variances (P, D1) and the expansion points, (P, D - 1) per
+    """The noise variances (P, D1) and the expansion points, (D - 1, P) per
     categorical block, at their optima for scores C: the closed-form
     M-step, ((y - mean_j.c)^2 + c^T cov_j c + 2 / beta) / (2 alpha + 3) at
     observed entries and the prior mode at hidden ones, and psi = M^T c."""
@@ -431,7 +442,7 @@ def optimal_theta(data, spec, C, gauss_state, cat_states):
         sigma2 = (resid**2 + quad + 2.0 / spec.beta) / (2.0 * spec.alpha + 3.0)
         prior_mode = 1.0 / (spec.beta * (spec.alpha + 1.0))
         sigma2 = np.where(data.observed_mask(), sigma2, prior_mode)
-    return sigma2, [C.T @ state.loading_mean for state in cat_states]
+    return sigma2, [state.loading_mean.T @ C for state in cat_states]
 
 
 def reference_objective(data, spec, C, gauss_state, cat_states, source=None):
@@ -506,12 +517,10 @@ class TestObjectiveFromScoreSystem:
     @pytest.mark.parametrize(
         "dataset", ["masked-two-block", "gaussian-only", "categorical-only", "empty"]
     )
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_matches_termwise_objective(self, dataset, mode):
         data = objective_datasets()[dataset]
-        spec = ModelSpec(
-            n_factors=2, score_update=mode, ridge_weight=0.4, max_iters=4, seed=6
-        )
+        spec = ModelSpec(n_factors=2, **mode_spec(mode, 0.4), max_iters=4, seed=6)
         model = fit(data, spec)
         rng = np.random.default_rng(11)
         C = rng.standard_normal((2, data.n_instances))  # not the fitted optimum
@@ -544,10 +553,10 @@ class TestSquarem:
     @pytest.mark.parametrize(
         "dataset", ["masked-two-block", "gaussian-only", "categorical-only", "empty"]
     )
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_monotone_at_default_spec(self, dataset, mode):
         data = objective_datasets()[dataset]
-        model = fit(data, ModelSpec(n_factors=2, score_update=mode, seed=2))
+        model = fit(data, ModelSpec(n_factors=2, **mode_spec(mode), seed=2))
         assert np.all(np.diff(model.objective_trace) >= -1e-8)
         assert len(model.objective_trace) == (
             model.iterations_run - model.extrapolations_rejected + 1
@@ -686,17 +695,14 @@ class TestInstanceBlocks:
         "mode, block",
         [
             pytest.param(mode, block, id=mode if block > 1 else f"{mode}-block1")
-            for mode, block in itertools.product(
-                ("unconstrained", "ridge", "nonnegative"), (CHUNK, 1)
-            )
+            for mode, block in itertools.product(SCORE_MODES, (CHUNK, 1))
         ],
     )
     def test_blocking_changes_nothing(self, monkeypatch, data, mode, block):
         # a block of one instance takes BLAS's matrix-vector path, as every
         # single-instance call (score_instance, impute, ...) does
         spec = ModelSpec(
-            n_factors=2, score_update=mode, ridge_weight=0.3, tol=1e-300,
-            max_iters=12, seed=4,
+            n_factors=2, **mode_spec(mode, 0.3), tol=1e-300, max_iters=12, seed=4,
         )
         whole = fit(data, spec)
         whole_scores, whole_loglik = mmfa.score_dataset(whole, data)
@@ -719,9 +725,7 @@ class TestInstanceBlocks:
         "mode, workers",
         [
             pytest.param(mode, workers, id=mode if workers == 1 else f"{mode}-2workers")
-            for mode, workers in itertools.product(
-                ("unconstrained", "ridge", "nonnegative"), (1, 2)
-            )
+            for mode, workers in itertools.product(SCORE_MODES, (1, 2))
         ],
     )
     def test_no_k2p_stack(self, monkeypatch, mode, workers):
@@ -738,8 +742,7 @@ class TestInstanceBlocks:
             )
         ).dataset
         spec = ModelSpec(
-            n_factors=k, score_update=mode, ridge_weight=0.3, tol=1e-300,
-            max_iters=1, seed=1,
+            n_factors=k, **mode_spec(mode, 0.3), tol=1e-300, max_iters=1, seed=1,
         )
 
         def peak(call, *args, **kwargs):
@@ -863,8 +866,7 @@ class TestBlockPool:
     @staticmethod
     def spec(mode="ridge"):
         return ModelSpec(
-            n_factors=2, score_update=mode, ridge_weight=0.3, tol=1e-300,
-            max_iters=12, seed=4,
+            n_factors=2, **mode_spec(mode, 0.3), tol=1e-300, max_iters=12, seed=4,
         )
 
     @staticmethod
@@ -898,7 +900,7 @@ class TestBlockPool:
         finally:
             set_(saved)
 
-    @pytest.mark.parametrize("mode", ["unconstrained", "ridge", "nonnegative"])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_results_identical_across_worker_counts(self, monkeypatch, data, mode):
         monkeypatch.setattr(engine, "_WORKERS", 1)
         one = self.results(data, self.spec(mode))
@@ -1222,6 +1224,55 @@ class TestModelIO:
         want_scores, want_loglik = mmfa.score_dataset(model, data)
         np.testing.assert_array_equal(got_scores, want_scores)
         np.testing.assert_array_equal(got_loglik, want_loglik)
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    @pytest.mark.parametrize("retired", [
+        pytest.param({"n_gaussian": None, "n_categories": None}, id="unpinned"),
+        pytest.param({"n_gaussian": 5, "n_categories": [4, 3]}, id="pinned"),
+        pytest.param(
+            {"score_update": "unconstrained", "ridge_weight": 1e-6},
+            id="unconstrained-1e-06",
+        ),
+        pytest.param(
+            {"score_update": "unconstrained", "ridge_weight": 0.0}, id="unconstrained-0"
+        ),
+    ])
+    def test_retired_spec_settings_of_earlier_versions_load(
+        self, tmp_path, inline, retired
+    ):
+        # earlier versions' specs held data-dimension pins, and a third
+        # score mode, "unconstrained", which ignored ridge_weight: the
+        # pins are dropped and the mode reads as the ridge solve at 0
+        data = objective_datasets()["masked-two-block"]
+        spec = ModelSpec(
+            n_factors=2, score_update="ridge", ridge_weight=0.0, max_iters=8, seed=3
+        )
+        model = fit(data, spec)
+        path = tmp_path / "old.mmfa"
+        if inline:
+            doc = self._write_inline(model, earlier_arrays(model, data), path)
+        else:
+            save_model(model, path)
+            doc = json.loads(path.read_text())
+        doc["spec"].update(retired)
+        path.write_text(json.dumps(doc, sort_keys=True))
+        loaded = load_model(path)
+        assert loaded.spec == spec
+        got_scores, got_loglik = mmfa.score_dataset(loaded, data)
+        want_scores, want_loglik = mmfa.score_dataset(replace(model, spec=spec), data)
+        np.testing.assert_array_equal(got_scores, want_scores)
+        np.testing.assert_array_equal(got_loglik, want_loglik)
+
+    def test_unknown_spec_key_schema_error(self, tmp_path):
+        synth = small_dataset(seed=1, p=10)
+        model = fit(synth.dataset, ModelSpec(n_factors=2, max_iters=2, seed=1))
+        path = tmp_path / "model.mmfa"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["spec"]["n_hidden"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(mmfa.SchemaError, match="n_hidden"):
+            load_model(path)
 
     def test_truncated_file_schema_error(self, tmp_path):
         synth = small_dataset(seed=1, p=10)

@@ -66,8 +66,7 @@ def gaussian_point_model(mean, noise_variance, spec=None):
     alpha = 1.0
     beta = 1.0 / (noise_variance * (alpha + 1.0))
     spec = spec or ModelSpec(
-        n_factors=k, alpha=alpha, beta=beta, score_update="unconstrained",
-        ridge_weight=0.0,
+        n_factors=k, alpha=alpha, beta=beta, score_update="ridge", ridge_weight=0.0,
     )
     return FittedModel(
         spec=spec,
@@ -577,9 +576,7 @@ class TestCategoryProbabilities:
         np.testing.assert_allclose(probs, np.full(d2, 1.0 / d2), atol=1e-6)
 
     def test_two_thirds_one_third(self):
-        spec = ModelSpec(
-            n_factors=1, score_update="unconstrained", ridge_weight=0.0,
-        )
+        spec = ModelSpec(n_factors=1, score_update="ridge", ridge_weight=0.0)
         model = gaussian_point_model(np.array([[1.0]]), 1.0, spec=spec)
         model.categoricals = [
             __import__("mmfa").MultinomialState(

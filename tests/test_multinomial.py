@@ -357,6 +357,7 @@ class TestPsiUpdate:
         ztilde = bound_terms(counts, trials, psi0)
         state = e_step(C, trials, ztilde, d2)
         psi = psi_update(state.loading_mean, C)
+        assert psi.shape == (d2 - 1, p)  # category-first
         cov_dense, mean_dense = dense_posterior(C, trials, ztilde, d2)
         A = dense_curvature(d2)
 
@@ -375,7 +376,7 @@ class TestPsiUpdate:
             return val
 
         for i in range(p):
-            best = psi[i]
+            best = psi[:, i]
             base = neg_expected_bound(i, best)
             for d in range(d2 - 1):
                 for eps in np.linspace(-0.2, 0.2, 41):
@@ -489,7 +490,7 @@ class TestBoundConsistency:
         C, trials, counts, psi = random_instance(rng, k, p, d2)
         ztilde = bound_terms(counts, trials, psi)
         state = e_step(C, trials, ztilde, d2)
-        got = expected_bound_loglik(state, counts, trials, psi, C)
+        got = expected_bound_loglik(state, counts, trials, psi.T, C)
         A = dense_curvature(d2)
         base = score_base(state)
         pivot = trials - counts.sum(axis=1)
