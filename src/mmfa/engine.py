@@ -8,16 +8,23 @@ One iteration runs, in order:
 - the global step (:func:`_global_step`): the exact Gaussian loading
   posterior (:func:`gaussian._e_step_finish`) and the variational
   posterior of each categorical block (:func:`multinomial._e_step_finish`),
-  finished from the sums the previous pass left;
+  finished from the sums the previous pass left, every block's
+  precisions factored and inverted in one stacked call each, and the
+  categorical blocks' score bases (:func:`_score_bases`);
 - one pass (:func:`_walk`) over blocks of INSTANCE_BLOCK instances
   (:func:`_instance_blocks`). Each block takes its local step
   (:func:`_local_step`): the noise-variance M-step and the bound's
   expansion points at the block's current scores, then its Gaussian
   weights, adjusted counts with the bound's offsets and score system,
-  which one solve turns into new scores. The block then adds its share
-  of the objective, read off the system just solved, and at its new
-  scores its share of the sums (the modules' ``_e_step_sums``) the next
-  global step reads.
+  which one solve (:func:`_solve`, a few whole-array calls per column)
+  turns into new scores. The block then adds its share of the objective,
+  read off the system just solved, and at its new scores its share of
+  the sums (the modules' ``_e_step_sums``) the next global step reads.
+
+A map evaluation makes a few hundred numpy calls whatever P is: at a
+small P their interpreter cost is most of its time, and at a large one
+the interpreter lock they hold keeps a second worker from paying. So
+each part is written in as few, as large calls as it allows.
 
 This module decides the blocking; the Gaussian and multinomial modules
 do per-block arithmetic only. Every pass holds OpenBLAS at one thread; a
@@ -30,13 +37,13 @@ Every update is an exact coordinate-ascent step on the same surrogate
 objective. By default :func:`fit` runs these iterations, the EM map
 evaluations, in SQUAREM cycles: two iterations, then an extrapolation of
 the scores, log noise variances and expansion points along the two steps
-taken (:class:`_Squarem`), a pass for the sums at the extrapolated point
-and one iteration from there, kept only if its objective is no lower than
-the second iteration's. So the tracked objective never decreases. No
-noise variances or expansion points are stored: each block recomputes
-them. Beyond its outputs (scores, posteriors), a fit holds one block's
-working set per worker and a few (K, P) score arrays: no array of P D1
-or K^2 P floats is made.
+taken (:class:`_Squarem`), a pass that forms only the sums at the
+extrapolated point and one iteration from there, kept only if its
+objective is no lower than the second iteration's. So the tracked
+objective never decreases. No noise variances or expansion points are
+stored: each block recomputes them. Beyond its outputs (scores,
+posteriors), a fit holds one block's working set per worker and a few
+(K, P) score arrays: no array of P D1 or K^2 P floats is made.
 """
 
 import contextlib
@@ -195,6 +202,18 @@ class _Block:
     rho: np.ndarray = None  # (b, K)
 
 
+def _observed_rows(data, rows):
+    """The rows' Gaussian data as the local step reads it: (Y, mask, bits),
+    Y from :func:`gaussian._observed` and bits mask's
+    :func:`gaussian._select_bits`, which every M-step of the rows reuses;
+    None for what the data lacks."""
+    if data.gaussian is None:
+        return None, None, None
+    mask = None if data.mask is None else data.mask[rows]
+    bits = gmod._select_bits(mask)
+    return gmod._observed(data.gaussian[rows], mask, bits), mask, bits
+
+
 def _initial_theta(spec, Y, cat_states, b):
     """The noise variances and expansion points of a fit's or scoring's
     initial state at b instances with Gaussian data Y, or None without a
@@ -207,7 +226,8 @@ def _initial_theta(spec, Y, cat_states, b):
 
 
 def _local_step(data, spec, gauss_state, cat_states, scores, rows,
-                sigma2=None, psis=None, offsets=False, Y=None, bases=None):
+                sigma2=None, psis=None, offsets=False, observed=None, bases=None,
+                system=True):
     """The local step of the instances in rows, up to its solve.
 
     scores (K, b) are the block's current scores. Its noise variances are
@@ -216,21 +236,22 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
     at scores (:func:`multinomial.psi_update`), category-first (D - 1, b).
     From them come the Gaussian weights, the adjusted counts (with their
     bound offsets if offsets, which only the objective reads;
-    :func:`multinomial._bound_terms`) and the score system
+    :func:`multinomial._bound_terms`) and, if system, the score system
     (:func:`score_system`). Fitting and scoring both take this step with
     the loading posteriors held fixed, and each solves the system itself.
     A caller that takes many steps on the same rows may pass what depends
-    only on the data and the model: Y, the rows' Gaussian data from
-    :func:`gaussian._observed`, and bases, the model's :func:`_score_bases`.
+    only on the data and the model: observed, the rows'
+    :func:`_observed_rows`, and bases, the model's :func:`_score_bases`.
     Returns a :class:`_Block`.
     """
     blk = _Block(rows)
     if data.gaussian is not None:
-        blk.mask = None if data.mask is None else data.mask[rows]
-        blk.Y = gmod._observed(data.gaussian[rows], blk.mask) if Y is None else Y
+        if observed is None:
+            observed = _observed_rows(data, rows)
+        blk.Y, blk.mask, bits = observed
         if sigma2 is None:
             sigma2 = gmod.gaussian_m_step(
-                gauss_state, scores, blk.Y, blk.mask, spec.alpha, spec.beta
+                gauss_state, scores, blk.Y, blk.mask, spec.alpha, spec.beta, bits
             )
         blk.sigma2 = sigma2
         blk.weights = gmod._weighted(sigma2, blk.Y, blk.mask)
@@ -246,13 +267,24 @@ def _local_step(data, spec, gauss_state, cat_states, scores, rows,
         blk.offsets = [offset for _, offset in adjusted]
     else:
         blk.ztildes = adjusted
-    blk.H, blk.rho = score_system(
-        data, gauss_state, blk.weights, cat_states, blk.ztildes, rows, bases
-    )
+    if system:
+        blk.H, blk.rho = score_system(
+            data, gauss_state, blk.weights, cat_states, blk.ztildes, rows, bases
+        )
     return blk
 
 
-def _walk(data, model, log_coefficient, update, hook=None):
+def _zero_sums(data, k):
+    """Zero arrays in the layout of :func:`_walk`'s sums at K = k."""
+    sums = [] if data.gaussian is None else [
+        np.zeros((k * (k + 1) // 2, data.n_gaussian)), np.zeros((k, data.n_gaussian))
+    ]
+    for block in data.categoricals:
+        sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
+    return sums
+
+
+def _walk(data, model, log_coefficient, update, hook=None, bases=None):
     """One pass over the instance blocks; returns (objective, sums).
 
     With update (a fit iteration) each block takes its local step at its
@@ -268,14 +300,19 @@ def _walk(data, model, log_coefficient, update, hook=None):
     :func:`_global_step` reads: the packed Gaussian precision sums and
     C (w * Y), then C diag(N) C^T and C ztilde^T per categorical block.
     They depend on the scores, noise variances and expansion points alone.
+    So a walk without update and with log_coefficient None, as SQUAREM's
+    at theta', forms the sums alone: it builds no score system and no
+    bound offsets, and its objective is None. bases are the model's
+    :func:`_score_bases`, as :func:`_global_step` gives them, or None to
+    build them here.
 
     hook, if given, does SQUAREM's work in every block (:class:`_Squarem`)
-    or gives the initial theta, given the rows' Gaussian data Y
-    (:func:`gaussian._observed`) and mask. With update, hook(rows, Y,
-    mask, scores, sigma2, psis) gets the block's new theta before it
-    overwrites the model's scores. Without, hook(rows, Y, mask) runs first
-    and returns the block's (sigma2, psis), psis (D - 1, b) each; if it
-    returns None the block is skipped, leaving the results partial.
+    or gives the initial theta, given the rows' Gaussian data observed
+    (:func:`_observed_rows`). With update, hook(rows, observed, scores,
+    sigma2, psis) gets the block's new theta before it overwrites the
+    model's scores. Without, hook(rows, observed) runs first and returns
+    the block's (sigma2, psis), psis (D - 1, b) each; if it returns None
+    the block is skipped, leaving the results partial.
 
     The blocks run on several threads (:func:`_blocks_in_order`). Each
     writes only its own rows, and their terms and sums are added here in
@@ -284,45 +321,41 @@ def _walk(data, model, log_coefficient, update, hook=None):
     spec, C = model.spec, model.scores
     gauss_state, cat_states = model.gaussian, model.categoricals
     lam = spec.effective_ridge
-    bases = _score_bases(cat_states)
+    objective = log_coefficient is not None
+    if objective and bases is None:
+        bases = _score_bases(cat_states)
 
     def step(rows):
         scores = C[:, rows]
-        Y = mask = None
-        if data.gaussian is not None:
-            mask = None if data.mask is None else data.mask[rows]
-            Y = gmod._observed(data.gaussian[rows], mask)
+        observed = _observed_rows(data, rows)
+        sigma2 = psis = None
+        if hook is not None and not update:
+            theta = hook(rows, observed)
+            if theta is None:
+                return ([], []), None
+            sigma2, psis = theta
+        blk = _local_step(
+            data, spec, gauss_state, cat_states, scores, rows, sigma2=sigma2,
+            psis=psis, offsets=objective, observed=observed, bases=bases,
+            system=objective,
+        )
+        c = scores.T
         if update:
-            blk = _local_step(
-                data, spec, gauss_state, cat_states, scores, rows, offsets=True,
-                Y=Y, bases=bases,
-            )
             c = solve_scores_batch(
-                blk.H, blk.rho, spec.score_update, spec.ridge_weight,
-                warm_start=scores.T,
+                blk.H, blk.rho, spec.score_update, spec.ridge_weight, warm_start=c,
             )
-        else:
-            sigma2 = psis = None
-            if hook is not None:
-                theta = hook(rows, Y, mask)
-                if theta is None:
-                    return ([], []), None
-                sigma2, psis = theta
-            blk = _local_step(
-                data, spec, gauss_state, cat_states, scores, rows,
-                sigma2=sigma2, psis=psis, offsets=True, Y=Y, bases=bases,
-            )
-            c = scores.T
-        Hc = np.einsum("pkl,pl->pk", blk.H, c)
-        terms = [float(np.sum(c * (blk.rho - 0.5 * Hc)))]
-        if lam > 0:
-            terms.append(-0.5 * lam * float(np.sum(c * c)))
-        if blk.weights is not None:
-            terms.append(gmod.gaussian_entry_terms(
-                blk.sigma2, blk.Y, blk.mask, blk.weights, spec.alpha, spec.beta
-            ))
-        for block, offset in zip(data.categoricals, blk.offsets):
-            terms.append(-float(block.trials[rows] @ offset))
+        terms = []
+        if objective:
+            Hc = np.einsum("pkl,pl->pk", blk.H, c)
+            terms.append(float(np.sum(c * (blk.rho - 0.5 * Hc))))
+            if lam > 0:
+                terms.append(-0.5 * lam * float(np.sum(c * c)))
+            if blk.weights is not None:
+                terms.append(gmod.gaussian_entry_terms(
+                    blk.sigma2, blk.Y, blk.mask, blk.weights, spec.alpha, spec.beta
+                ))
+            for block, offset in zip(data.categoricals, blk.offsets):
+                terms.append(-float(block.trials[rows] @ offset))
 
         parts = [] if blk.weights is None else [*gmod._e_step_sums(c.T, *blk.weights)]
         for block, ztilde in zip(data.categoricals, blk.ztildes):
@@ -334,22 +367,19 @@ def _walk(data, model, log_coefficient, update, hook=None):
             psis = blk.psis
             del blk  # H and the weights go before the hook allocates: 2.5 MB of W1's peak
             if hook is not None:
-                hook(rows, Y, mask, c.T, new_sigma2, psis)
+                hook(rows, observed, c.T, new_sigma2, psis)
             C[:, rows] = c.T
         return (terms, parts), held
 
-    k = C.shape[0]
     total = 0.0
-    sums = [] if data.gaussian is None else [
-        np.zeros((k * (k + 1) // 2, data.n_gaussian)), np.zeros((k, data.n_gaussian))
-    ]
-    for block in data.categoricals:
-        sums += [np.zeros((k, k)), np.zeros((k, block.n_categories - 1))]
+    sums = _zero_sums(data, C.shape[0])
     for terms, parts in _blocks_in_order(C.shape[1], step):
         for term in terms:
             total += term
         for acc, part in zip(sums, parts):
             acc += part
+    if not objective:
+        return None, sums
     posterior = 0.0  # the terms of the loading posteriors alone
     if gauss_state is not None:
         posterior += gmod.gaussian_posterior_terms(gauss_state)
@@ -359,16 +389,47 @@ def _walk(data, model, log_coefficient, update, hook=None):
 
 
 def _global_step(data, sums):
-    """The loading posteriors from the sums of :func:`_walk`: (Gaussian
-    state, categorical states)."""
-    sums = iter(sums)
+    """The loading posteriors from the sums of :func:`_walk`, and the
+    categorical ones' score bases: (Gaussian state, categorical states,
+    :func:`_score_bases`).
+
+    Every precision to factor, the D1 of the Gaussian block
+    (:func:`gaussian._precisions`) and each categorical block's P and S
+    (:func:`multinomial._precisions`), goes into one stack: one batched
+    Cholesky call factors it, one inverse call inverts the factors and one
+    product forms every inverse from them, and the modules' ``_posterior``
+    finish each block from its slices. LAPACK factors each matrix of a
+    stack alone, so the states are those of the modules' own
+    ``_e_step_finish``, bit for bit; a stack that does not factor is
+    finished by them block by block, so that the error names the block.
+    """
+    at = 2 if data.gaussian is not None else 0
+    gauss_sums = sums[:at]
+    cat_sums = list(zip(data.categoricals, sums[at::2], sums[at + 1::2]))
+    stack = [gmod._precisions(gauss_sums[0])] if gauss_sums else []
+    stack += [mmod._precisions(gram, block.n_categories) for block, gram, _ in cat_sums]
+    stack = np.concatenate(stack)
+    chol = gmod._cholesky(stack)
+    if chol is None:
+        gauss_state = gmod._e_step_finish(*gauss_sums) if gauss_sums else None
+        cat_states = [
+            mmod._e_step_finish(gram, cz, block.n_categories) for block, gram, cz in cat_sums
+        ]
+        return gauss_state, cat_states, _score_bases(cat_states)
+    chol_inv = np.linalg.inv(chol)
+    inverses = np.matmul(chol_inv.transpose(0, 2, 1), chol_inv)
+    at = data.n_gaussian
     gauss_state = None
-    if data.gaussian is not None:
-        gauss_state = gmod._e_step_finish(next(sums), next(sums))
-    return gauss_state, [
-        mmod._e_step_finish(next(sums), next(sums), block.n_categories)
-        for block in data.categoricals
-    ]
+    if gauss_sums:
+        gauss_state = gmod._posterior(gauss_sums[1], chol_inv[:at], inverses[:at])
+    cat_states = []
+    for block, gram, cz in cat_sums:
+        pair = slice(at, at + 2)
+        cat_states.append(mmod._posterior(
+            gram, cz, block.n_categories, stack[at], chol[pair], inverses[pair]
+        ))
+        at += 2
+    return gauss_state, cat_states, _score_bases(cat_states)
 
 
 def _log_coefficient(data):
@@ -406,16 +467,12 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
       nonnegative - accelerated projected gradient on the constrained QP,
                     ignoring ridge_weight; each instance stops once its
                     componentwise KKT residual drops below 1e-8
-    The ridge mode factors each system once, L L^T, by a Cholesky vectorized
-    across instances, then substitute forward and back against L. The
-    factor works in a (K, K, P) array: an H that is a view of one, as
-    :func:`score_system` returns once it has unpacked its packed systems,
-    is copied without reordering. Returns
-    scores of shape (P, K). A non-finite entry in H or rho raises
-    NumericalError, and so does a pivot that is not positive: the system
-    is then singular or indefinite. Every instance's result is
+    The ridge mode is :func:`_solve`, one elimination over every instance
+    at once. Returns scores of shape (P, K). A non-finite entry in H or
+    rho raises NumericalError, and so does a pivot that is not positive:
+    the system is then singular or indefinite. Every instance's result is
     independent of the others, so a fit may solve its instances in
-    blocks.
+    blocks, and calls on several threads at once do not interfere.
     """
     H = np.asarray(H, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -423,54 +480,58 @@ def solve_scores_batch(H, rho, mode, ridge_weight, warm_start=None):
         raise NumericalError("non-finite score system")
     if mode == "nonnegative":
         return _nonneg_qp_batch(H, rho, warm_start)
-    return _substitute(_cholesky_batch(H, ridge_weight), rho.T).T
+    return _solve(H, rho, ridge_weight)
 
 
-def _substitute(L, rhs):
-    """x (K, P) with L_i L_i^T x_i = rhs_i, for factors L (K, K, P) from
-    :func:`_cholesky_batch` and rhs (K, P): forward, then back
-    substitution, each on all instances at once."""
-    k = L.shape[0]
-    x = np.array(rhs)
-    for j in range(k):
-        x[j] -= np.einsum("mp,mp->p", L[j, :j], x[:j])
-        x[j] /= L[j, j]
-    for j in reversed(range(k)):
-        x[j] -= np.einsum("mp,mp->p", L[j + 1:, j], x[j + 1:])
-        x[j] /= L[j, j]
-    return x
+def _solve(H, rhs, lam, flag=False):
+    """x (b, K) with (H_i + lam I) x_i = rhs_i for every instance of H
+    (b, K, K) and rhs (b, K), by Gaussian elimination without row exchanges
+    on the augmented systems [H + lam I | rhs].
 
+    The systems are copied into one (K, K + 1, b) array, instances along
+    the last axis: an H that is a (b, K, K) view of a (K, K, b) array, as
+    :func:`score_system` returns, is copied without reordering. Column j
+    costs three whole-array calls: row j is divided by its pivot and the
+    rows below take off their multiple of it, the right-hand side
+    included; back substitution then costs two per column. That is about
+    a third of the calls of a Cholesky factor and two substitutions, so
+    the interpreter lock is held less and two threads solving blocks at
+    once gain, at the price of updating the whole trailing submatrix per
+    column rather than its lower triangle.
 
-def _cholesky_batch(H, lam, flag=False):
-    """Lower Cholesky factors of H_i + lam I in a (K, K, P) array.
-
-    One loop over the K columns; each step works on all instances at
-    once along the last axis. The factor fills the lower triangle; the
-    strict upper triangle keeps the entries of H and is never read. A
-    pivot that is not positive raises NumericalError or, with flag, marks
-    its instance: (L, ok) is returned, and the factor of an instance with
-    ok False is not to be used.
+    The pivots of a symmetric H + lam I are those of its LDL^T
+    factorization, positive at every column exactly when it is positive
+    definite. One that is not positive and finite raises NumericalError
+    or, with flag, marks its instance: (x, ok) is returned, and x of an
+    instance with ok False is not to be used (it may be inf or NaN).
     """
-    k = H.shape[1]
-    L = np.array(H.transpose(1, 2, 0), order="C")
-    ok = np.ones(L.shape[2], dtype=bool)
-    for j in range(k):
-        done = L[j, :j]
-        pivot = L[j, j] + lam - np.einsum("mp,mp->p", done, done)
-        good = np.isfinite(pivot) & (pivot > 0)
-        if not good.all():
-            if not flag:
-                raise NumericalError(
-                    "singular score system; a ridge of ridge_weight > 0 "
-                    "makes it positive definite"
-                )
-            ok &= good
-            pivot[~good] = 1.0  # the flagged instances' columns go on finite
-        L[j, j] = np.sqrt(pivot)
-        below = L[j + 1:, j]
-        below -= np.einsum("imp,mp->ip", L[j + 1:, :j], done)
-        below /= L[j, j]
-    return (L, ok) if flag else L
+    b, k = rhs.shape
+    A = np.empty((k, k + 1, b))
+    A[:, :k] = H.transpose(1, 2, 0)
+    A[:, k] = rhs.T
+    pivots = A.reshape(k * (k + 1), b)[::k + 2]  # the diagonal, (K, b), a view
+    pivots += lam
+    # an instance with a bad pivot may divide by 0 and overflow; every
+    # instance's arithmetic is its own, so the others are untouched
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(k - 1):
+            row = A[j, j + 1:]
+            row /= pivots[j]
+            below = A[j + 1:, j + 1:]
+            below -= A[j + 1:, j, None] * row
+        x = A[:, k]
+        x[k - 1] /= pivots[k - 1]
+        for j in range(k - 1, 0, -1):
+            x[:j] -= A[:j, j] * x[j]
+        ok = ((pivots > 0) & (pivots < math.inf)).all(axis=0)
+    if flag:
+        return x.T, ok
+    if not ok.all():
+        raise NumericalError(
+            "singular score system; a ridge of ridge_weight > 0 "
+            "makes it positive definite"
+        )
+    return x.T
 
 
 def _nonneg_qp_batch(H, rho, warm_start):
@@ -601,30 +662,31 @@ class _Squarem:
         self.prev = scores
         return self.norms if len(self.records) == 2 else None
 
-    def _recorded(self, record, rows, Y, mask):
+    def _recorded(self, record, rows, observed):
         """theta of a recorded iterate at rows, as new arrays: scores (K, b),
         log noise variances (b, D1) and expansion points (D - 1, b), from
-        the rows' Gaussian data Y (:func:`gaussian._observed`) and mask."""
+        the rows' Gaussian data observed (:func:`_observed_rows`)."""
         scores, prev, gauss, cats = record
         spec = self.model.spec
+        Y, mask, bits = observed
         theta = [np.array(scores[:, rows])]
         if prev is None:
             sigma2, psis = _initial_theta(spec, Y, cats, theta[0].shape[1])
         else:
             sigma2 = None if Y is None else gmod.gaussian_m_step(
-                gauss, prev[:, rows], Y, mask, spec.alpha, spec.beta
+                gauss, prev[:, rows], Y, mask, spec.alpha, spec.beta, bits
             )
             psis = [mmod.psi_update(state.loading_mean, prev[:, rows]) for state in cats]
         if sigma2 is not None:
             theta.append(np.log(sigma2, out=sigma2))
         return theta + psis
 
-    def norms(self, rows, Y, mask, scores, sigma2, psis):
+    def norms(self, rows, observed, scores, sigma2, psis):
         """theta_2's map evaluation's hook: the block's |r|^2 and |v|^2, a
         pair per array, with theta_0 and theta_1 recomputed."""
         theta2 = [scores] + ([] if sigma2 is None else [np.log(sigma2)]) + psis
         r, v = _differences(
-            *(self._recorded(record, rows, Y, mask) for record in self.records), theta2
+            *(self._recorded(record, rows, observed) for record in self.records), theta2
         )
         # einsum, not BLAS dot: the sums must not depend on its thread count
         self.shares[rows.start] = [
@@ -658,8 +720,8 @@ class _Squarem:
         records = [*self.records, theta2]
         self.finite = True
 
-        def hook(rows, Y, mask):
-            theta0, theta1, now = (self._recorded(rec, rows, Y, mask) for rec in records)
+        def hook(rows, observed):
+            theta0, theta1, now = (self._recorded(rec, rows, observed) for rec in records)
             r, v = _differences(theta0, theta1, now)
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, y, z in zip(r, v, now):
@@ -674,7 +736,7 @@ class _Squarem:
                 model.scores[:, rows] = c
                 ok = np.isfinite(c).all()
                 sigma2 = None
-                if Y is not None:
+                if model.gaussian is not None:
                     sigma2 = np.exp(next(new))
                     ok &= np.isfinite(sigma2).all() and (sigma2 > 0.0).all()
                 psis = list(new)
@@ -691,22 +753,26 @@ def fit(data, spec, callback=None):
     """Fit the factor model to a heterogeneous dataset.
 
     A map evaluation is one EM iteration: it finishes the loading
-    posteriors from sums over the instances (:func:`_global_step`), then
-    walks the blocks of instances once (:func:`_walk`). Each block takes
-    its noise-variance M-step and expansion points at its current scores,
-    solves its score system (:func:`score_system`) for new scores, and
-    adds its shares of the objective and of the sums the next evaluation
-    reads. The map reads the state only through those sums and the
-    scores. trace[0] comes from the same walk at the initial state
-    (:func:`_initial_theta`), without the solve. A later entry holds the
-    noise variances and expansion points of the scores its evaluation
-    started from, so :func:`surrogate_objective` is no lower than trace[-1].
+    posteriors from sums over the instances, with one stacked
+    factorization for all of them, and the score bases
+    (:func:`_global_step`), then walks the blocks of instances once
+    (:func:`_walk`). Each block takes its noise-variance M-step and
+    expansion points at its current scores, solves its score system
+    (:func:`score_system`, :func:`_solve`) for new scores, and adds its
+    shares of the objective and of the sums the next evaluation reads.
+    The map reads the state only through those sums and the scores.
+    trace[0] comes from the same walk at the initial state
+    (:func:`_initial_theta`) and the prior's global step, without the
+    solve. A later entry holds the noise variances and expansion points
+    of the scores its evaluation started from, so
+    :func:`surrogate_objective` is no lower than trace[-1].
 
     With spec.accelerate (the default) the map evaluations run in SQUAREM
     cycles over theta = (scores, log noise variances, expansion points):
     two plain evaluations from theta_0 give theta_1 and theta_2, then one
-    walk forms the extrapolated point theta' and the sums there
-    (:class:`_Squarem`), and one map evaluation runs from there. Its
+    walk forms the extrapolated point theta' and only the sums there,
+    with no score system or objective (:class:`_Squarem`), and one map
+    evaluation runs from there. Its
     iterate is kept only if its objective is finite and no lower than
     theta_2's; otherwise, or if that walk or evaluation raises
     NumericalError, the fit goes back to theta_2 and counts the
@@ -745,26 +811,21 @@ def fit(data, spec, callback=None):
     rng = np.random.default_rng(spec.seed)
     model = FittedModel(spec=spec, scores=0.1 * rng.standard_normal((k, p)))
     # the prior posteriors, finished from zero sums like every later one
-    if data.gaussian is not None:
-        d1 = data.n_gaussian
-        zeros = np.zeros((k * (k + 1) // 2, d1))
-        model.gaussian = gmod._e_step_finish(zeros, np.zeros((k, d1)))
-    model.categoricals = [
-        mmod._e_step_finish(np.zeros((k, k)), np.zeros((k, d - 1)), d)
-        for d in data.category_counts
-    ]
+    model.gaussian, model.categoricals, bases = _global_step(data, _zero_sums(data, k))
     log_coefficient = _log_coefficient(data)
 
-    def initial(rows, Y, mask):
-        return _initial_theta(spec, Y, model.categoricals, len(range(p)[rows]))
+    def initial(rows, observed):
+        return _initial_theta(spec, observed[0], model.categoricals, len(range(p)[rows]))
 
-    objective, sums = _walk(data, model, log_coefficient, update=False, hook=initial)
+    objective, sums = _walk(
+        data, model, log_coefficient, update=False, hook=initial, bases=bases
+    )
     model.objective_trace.append(objective)
     squarem = _Squarem(model) if spec.accelerate else None
 
     def evaluate(hook=None):
-        model.gaussian, model.categoricals = _global_step(data, sums)
-        return _walk(data, model, log_coefficient, update=True, hook=hook)
+        model.gaussian, model.categoricals, bases = _global_step(data, sums)
+        return _walk(data, model, log_coefficient, update=True, hook=hook, bases=bases)
 
     while model.iterations_run < spec.max_iters:
         start = time.perf_counter()
@@ -780,7 +841,7 @@ def fit(data, spec, callback=None):
             model.scores = np.empty_like(model.scores)  # theta''s, which the walk writes
             objective = math.nan
             with contextlib.suppress(NumericalError):
-                at = _walk(data, model, log_coefficient, update=False, hook=hook)[1]
+                at = _walk(data, model, None, update=False, hook=hook)[1]
                 hook = None  # theta_0's scores go with it, before the evaluation
                 if squarem.finite:
                     # the evaluation overwrites the scores it starts from

@@ -230,22 +230,36 @@ def crlb(c, gaussian=None, multinomial=None, n_replicates=2000, seed=0):
 
 
 def _trace_inverse(matrix):
-    """Trace of the inverse of an SPD matrix, or inf if it is singular.
+    """Trace of the inverse of an SPD matrix, or inf if it is singular
+    (:func:`_trace_inverses`)."""
+    return float(_trace_inverses(matrix[None])[0])
+
+
+def _trace_inverses(matrices):
+    """Trace of the inverse of each SPD matrix of a stack (n, K, K), inf
+    for one that is singular: (n,).
 
     With F = L L^T, inv(F) = inv(L)^T inv(L), so the trace is the squared
     Frobenius norm of inv(L). F counts as singular when its Cholesky
     factorization fails or its smallest pivot is negligible against its
     own scale, min(diag L)^2 <= K eps max(diag F): a rank-deficient F can
     factor with a rounding-sized pivot whose inverse would read as a
-    finite bound of about 1e16.
+    finite bound of about 1e16. The stack is factored and inverted in one
+    call each; if one of its matrices does not factor, each is factored
+    alone.
     """
-    chol = _cholesky(matrix)
+    chol = _cholesky(matrices)
     if chol is None:
-        return math.inf
-    floor = matrix.shape[0] * np.finfo(float).eps * np.diagonal(matrix).max()
-    if np.diagonal(chol).min() ** 2 <= floor:
-        return math.inf
-    return float(np.sum(np.linalg.inv(chol) ** 2))
+        if len(matrices) == 1:
+            return np.array([math.inf])
+        return np.concatenate([_trace_inverses(matrix[None]) for matrix in matrices])
+    floors = matrices.shape[-1] * np.finfo(float).eps * np.diagonal(
+        matrices, axis1=1, axis2=2
+    ).max(axis=1)
+    pivots = np.diagonal(chol, axis1=1, axis2=2).min(axis=1) ** 2
+    traces = np.sum(np.linalg.inv(chol) ** 2, axis=(1, 2))
+    traces[pivots <= floors] = math.inf
+    return traces
 
 
 @dataclass
@@ -378,19 +392,24 @@ def mse_experiment(config):
 
         fit(synth.dataset, spec, callback=record)
 
-        V = synth.categorical_loadings[0]
-        for c_true in synth.scores.T:
-            f_g = gaussian_fisher(
-                c_true,
-                mean=synth.gaussian_loadings,
-                cov=None,
-                noise_variance=config.noise_variance,
-            )
-            probs = _probabilities((V.T @ c_true)[:, None])[0, :-1]  # non-pivot
-            f_m = config.n_trials * V @ (np.diag(probs) - np.outer(probs, probs)) @ V.T
-            crlb_totals.append(_trace_inverse(f_g + f_m))
-            crlb_gauss.append(_trace_inverse(f_g))
-            crlb_mult.append(_trace_inverse(f_m))
+        # the bounds of every instance at once: with the loadings as
+        # deterministic means the Gaussian Fisher is the same at every c,
+        # and the multinomial one at c is N V (diag p - p p^T) V^T
+        V, C = synth.categorical_loadings[0], synth.scores
+        f_g = gaussian_fisher(
+            C[:, 0],
+            mean=synth.gaussian_loadings,
+            cov=None,
+            noise_variance=config.noise_variance,
+        )
+        probs = _probabilities(V.T @ C)[:, :-1]  # (P, D - 1), non-pivot
+        vp = probs @ V.T  # V p per instance, (P, K)
+        f_m = np.einsum("kd,pd,ld->pkl", V, probs, V)
+        f_m -= vp[:, :, None] * vp[:, None, :]
+        f_m *= config.n_trials
+        crlb_totals.append(_trace_inverses(f_g + f_m))
+        crlb_gauss.append(np.full(C.shape[1], _trace_inverse(f_g)))
+        crlb_mult.append(_trace_inverses(f_m))
 
     if config.n_seeds > 1:
         stderr = all_mse.std(axis=0, ddof=1) / math.sqrt(config.n_seeds)
@@ -400,8 +419,8 @@ def mse_experiment(config):
         config=config,
         mse_mean=all_mse.mean(axis=0),
         mse_stderr=stderr,
-        crlb_total=float(np.mean(crlb_totals)),
-        crlb_gaussian=float(np.mean(crlb_gauss)),
-        crlb_multinomial=float(np.mean(crlb_mult)),
+        crlb_total=float(np.mean(np.concatenate(crlb_totals))),
+        crlb_gaussian=float(np.mean(np.concatenate(crlb_gauss))),
+        crlb_multinomial=float(np.mean(np.concatenate(crlb_mult))),
         per_seed_mse=all_mse,
     )

@@ -21,12 +21,12 @@ from . import gaussian as gmod
 from . import multinomial as mmod
 from .engine import (
     _blocks_in_order,
-    _cholesky_batch,
     _initial_theta,
     _local_step,
     _nonneg_qp_batch,
+    _observed_rows,
     _score_bases,
-    _substitute,
+    _solve,
     solve_scores_batch,
 )
 from .errors import DimensionMismatch, UndefinedMetricError, UndefinedScoreError
@@ -177,6 +177,7 @@ class _Point:
     idx: np.ndarray  # (n,) rows of the dataset
     Y: np.ndarray  # (n, D1) Gaussian data, 0 where hidden, or None
     mask: np.ndarray  # (n, D1) or None
+    bits: np.ndarray  # mask's gaussian._select_bits, or None
     counts: list  # (D - 1, n) per categorical block
     trials: list  # (n,) per categorical block
     c: np.ndarray = None
@@ -192,20 +193,17 @@ class _Point:
         (:func:`engine._initial_theta`), solved."""
         spec = model.spec
         idx = np.arange(*rows.indices(data.n_instances))
-        mask = Y = None
-        if data.gaussian is not None:
-            mask = None if data.mask is None else data.mask[rows]
-            Y = gmod._observed(data.gaussian[rows], mask)
-        sigma2, psis = _initial_theta(spec, Y, model.categoricals, idx.size)
+        observed = _observed_rows(data, rows)
+        sigma2, psis = _initial_theta(spec, observed[0], model.categoricals, idx.size)
         zero = np.zeros((idx.size, model.n_factors))
         blk = _local_step(
             data, spec, model.gaussian, model.categoricals, zero.T, rows,
-            sigma2=sigma2, psis=psis, Y=Y, bases=terms.bases,
+            sigma2=sigma2, psis=psis, observed=observed, bases=terms.bases,
         )
         c = solve_scores_batch(
             blk.H, blk.rho, spec.score_update, spec.ridge_weight, warm_start=zero
         )
-        at = cls(idx, Y, mask, [b.counts[rows].T for b in data.categoricals],
+        at = cls(idx, *observed, [b.counts[rows].T for b in data.categoricals],
                  [b.trials[rows] for b in data.categoricals])
         return at.moved_to(model, terms, c)
 
@@ -216,7 +214,7 @@ class _Point:
         sigma2 = None
         if self.Y is not None:
             sigma2 = gmod.gaussian_m_step(
-                model.gaussian, c.T, self.Y, self.mask, spec.alpha, spec.beta
+                model.gaussian, c.T, self.Y, self.mask, spec.alpha, spec.beta, self.bits
             )
             g -= (spec.alpha + 1.5) * np.log(sigma2).sum(axis=1)
         psis, probs = [], []
@@ -241,9 +239,9 @@ class _Point:
             return [a[:, keep] for a in arrays]
 
         return _Point(
-            self.idx[keep], rows(self.Y), rows(self.mask), cols(self.counts),
-            [t[keep] for t in self.trials], self.c[keep], rows(self.sigma2),
-            cols(self.psis), cols(self.probs), self.g[keep],
+            self.idx[keep], rows(self.Y), rows(self.mask), rows(self.bits),
+            cols(self.counts), [t[keep] for t in self.trials], self.c[keep],
+            rows(self.sigma2), cols(self.psis), cols(self.probs), self.g[keep],
         )
 
     def put(self, sel, other):
@@ -261,27 +259,27 @@ def _newton_step(model, data, terms, at):
 
     An instance takes the Newton step of :func:`_systems`, or under
     score_update="nonnegative" the QP of its quadratic model, if
-    H_N + ridge I factors (:func:`engine._cholesky_batch`) and g does not
-    decrease (to rounding); otherwise it takes the MM step, the solve of
-    (H, rho), which never decreases g. Returns the instances at their new
-    scores.
+    H_N + ridge I is positive definite (:func:`engine._solve`'s flag) and
+    g does not decrease (to rounding); otherwise it takes the MM step, the
+    solve of (H, rho), which never decreases g. Returns the instances at
+    their new scores.
     """
     spec = model.spec
     lam, mode = spec.effective_ridge, spec.score_update
     c = at.c
     H, rho, newton = _systems(model, data, terms, at)
     grad = rho - np.einsum("pkl,pl->pk", H, c) - lam * c
-    L, ok = _cholesky_batch(newton, lam, flag=True)
+    step, ok = _solve(newton, grad, lam, flag=True)
     x = c.copy()
     if mode != "nonnegative":
-        x[ok] += _substitute(L, grad.T).T[ok]  # flagged columns go unused
+        x[ok] += step[ok]  # flagged instances' steps go unused
     elif ok.any():
         x[ok] = _nonneg_qp_batch(
             newton[ok], np.einsum("pkl,pl->pk", newton[ok], c[ok]) + grad[ok], c[ok]
         )
     # scoring's working set sets the peak memory of a process that fits
     # and scores: the (n, K, K) arrays go before g is evaluated
-    del L, newton
+    del step, newton
     new = at.moved_to(model, terms, x)
     mm = ~(ok & (new.g >= at.g - 1e-12 * np.abs(at.g)))
     if mm.any():
@@ -327,7 +325,8 @@ def _systems(model, data, terms, at):
     # scoring, and scoring that of a process that fits and scores
     blk = _local_step(
         data, spec, model.gaussian, model.categoricals, c.T, at.idx,
-        sigma2=at.sigma2, psis=at.psis, Y=at.Y, bases=terms.bases,
+        sigma2=at.sigma2, psis=at.psis, observed=(at.Y, at.mask, at.bits),
+        bases=terms.bases,
     )
     newton = gmod._unpack(np.transpose(drop))
     np.subtract(blk.H.transpose(1, 2, 0), newton, out=newton)

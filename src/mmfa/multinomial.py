@@ -184,6 +184,39 @@ def _e_step_sums(C, trials, ztilde):
     return (C * trials) @ C.T, C @ ztilde.T
 
 
+def _precisions(gram, n_categories):
+    """The block precision P = gram / 2 + I and S = (P + (D2 - 1) I) / D2,
+    stacked (2, K, K): the two matrices :func:`_e_step_finish` factors."""
+    eye = np.eye(gram.shape[0])
+    precision = 0.5 * gram + eye
+    return np.array([precision, (precision + (n_categories - 1.0) * eye) / n_categories])
+
+
+def _posterior(gram, cz, n_categories, precision, chol, inverses):
+    """The :class:`MultinomialState` of :func:`_e_step_finish` from its
+    sums, the block precision P, and the Cholesky factors chol and
+    inverses of :func:`_precisions`' P and S, (2, K, K) each."""
+    k = gram.shape[0]
+    d = n_categories - 1.0
+    half_logdets = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    traces = np.trace(inverses, axis1=1, axis2=2)
+    precision_inv = 0.5 * (inverses[0] + inverses[0].T)
+    cross_cov = inverses[0] @ (0.5 * gram) @ inverses[1] / n_categories
+    loading_mean = precision_inv @ cz
+    loading_mean += (cross_cov @ cz.sum(axis=1))[:, None]  # the same for every category
+    return MultinomialState(
+        n_categories=n_categories,
+        precision=precision,
+        precision_inv=precision_inv,
+        cross_cov=0.5 * (cross_cov + cross_cov.T),
+        loading_mean=loading_mean,
+        cov_terms=float(
+            -(d - 1.0) * half_logdets[0] - half_logdets[1]
+            - 0.5 * ((d - 1.0) * traces[0] + traces[1] - d * k)
+        ),
+    )
+
+
 def _e_step_finish(gram, cz, n_categories):
     """Closed-form approximate posterior of the category loadings from
     the sums of :func:`_e_step_sums`, gram = C diag(trials) C^T and
@@ -198,38 +231,21 @@ def _e_step_finish(gram, cz, n_categories):
     inv(P) and, along the ones direction, one block inv(P) + d cross_cov =
     inv(S): its log det, -(d-1) log det P - log det S, and its trace,
     (d-1) tr inv(P) + tr inv(S), give the state's cov_terms,
-    (log det - trace + d K) / 2. One batched Cholesky call on P and S gives
-    all of it, exact at zero sums (the prior); the (D2-1)K-dimensional
-    posterior is never materialized. A P that is not finite or not
-    positive definite raises NumericalError. Returns a
+    (log det - trace + d K) / 2. One batched Cholesky call on P and S
+    (:func:`_precisions`) gives all of it (:func:`_posterior`), exact at
+    zero sums (the prior); the (D2-1)K-dimensional posterior is never
+    materialized. :func:`engine._global_step` factors P and S in one
+    stack with every other block's precisions. A P that is not finite or
+    not positive definite raises NumericalError. Returns a
     :class:`MultinomialState`.
     """
-    k = gram.shape[0]
-    d = n_categories - 1.0
-    eye = np.eye(k)
-    precision = 0.5 * gram + eye
-    chol = _cholesky(np.array([precision, (precision + d * eye) / n_categories]))
+    pair = _precisions(gram, n_categories)
+    chol = _cholesky(pair)
     if chol is None:
         raise NumericalError("Cholesky factorization of the block precision failed")
     chol_inv = np.linalg.inv(chol)
     inverses = np.matmul(chol_inv.transpose(0, 2, 1), chol_inv)
-    half_logdets = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    traces = np.trace(inverses, axis1=1, axis2=2)
-    precision_inv = 0.5 * (inverses[0] + inverses[0].T)
-    cross_cov = inverses[0] @ (0.5 * gram) @ inverses[1] / n_categories
-    loading_mean = precision_inv @ cz
-    loading_mean += np.outer(cross_cov @ cz.sum(axis=1), np.ones(n_categories - 1))
-    return MultinomialState(
-        n_categories=n_categories,
-        precision=precision,
-        precision_inv=precision_inv,
-        cross_cov=0.5 * (cross_cov + cross_cov.T),
-        loading_mean=loading_mean,
-        cov_terms=float(
-            -(d - 1.0) * half_logdets[0] - half_logdets[1]
-            - 0.5 * ((d - 1.0) * traces[0] + traces[1] - d * k)
-        ),
-    )
+    return _posterior(gram, cz, n_categories, pair[0], chol, inverses)
 
 
 def psi_update(loading_mean, C):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
-from mmfa import GeneratorConfig, NumericalError, crlb, sample_dataset
+from mmfa import GeneratorConfig, NumericalError, crlb, fisher, sample_dataset
 from mmfa.fisher import (
     MseExperimentConfig,
     aligned_score_mse,
@@ -369,6 +369,24 @@ class TestCrlb:
 # pinned from the first run of test_reference_configuration_regression_value,
 # after checking it against the analytic conditional Fisher (0.3% gap)
 REGRESSION_CRLB = 1.0861867987902287
+
+
+class TestTraceInverses:
+    """The CRLB's trace of an inverse, over a stack of Fisher matrices."""
+
+    def test_stack_equals_matrix_by_matrix(self):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((6, 3, 5))
+        stack = M @ M.transpose(0, 2, 1)
+        v = rng.standard_normal(3)
+        stack[2] = np.outer(v, v)  # rank one: its rounding-sized pivot reads inf
+        stack[4] = -np.eye(3)  # does not factor
+        got = fisher._trace_inverses(stack)
+        want = [fisher._trace_inverse(matrix) for matrix in stack]
+        assert got[2] == got[4] == np.inf
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        for i in (0, 1, 3, 5):
+            assert got[i] == pytest.approx(np.trace(np.linalg.inv(stack[i])), rel=1e-12)
 
 
 class TestAlignedMse:

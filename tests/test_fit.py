@@ -27,6 +27,7 @@ from mmfa import (
     select_k,
 )
 from mmfa import engine, inference
+from mmfa import gaussian as gmod
 from mmfa import multinomial as mmod
 from mmfa.engine import NONNEG_KKT_TOL, solve_scores_batch, surrogate_objective
 
@@ -217,6 +218,66 @@ class TestUpdateScores:
         for i in range(p):
             single = solve_one(H[i], rho[i], "ridge", 1e-6)
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
+
+
+def spd_stack(rng, b, k):
+    """b random symmetric positive definite K x K matrices, (b, K, K)."""
+    M = rng.standard_normal((b, k, 2 * k + 3))
+    return M @ M.transpose(0, 2, 1) / (2 * k + 3) + 0.1 * np.eye(k)
+
+
+class TestEliminationSolve:
+    """The ridge solve eliminates on [H + ridge I | rho], all instances at
+    once (engine._solve)."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_view_of_a_k_k_b_array(self, k):
+        # score_system returns H as a (b, K, K) view of a (K, K, b) array
+        rng = np.random.default_rng(20 + k)
+        H = spd_stack(rng, 500, k)
+        rho = rng.standard_normal((500, k))
+        view = np.ascontiguousarray(H.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert k == 1 or not view.flags.c_contiguous
+        got = solve_scores_batch(view, rho, "ridge", 0.2)
+        np.testing.assert_array_equal(got, solve_scores_batch(H, rho, "ridge", 0.2))
+        want = np.linalg.solve(H + 0.2 * np.eye(k), rho[..., None])[..., 0]
+        error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert error.max() <= 1e-12
+
+    def test_error_messages(self):
+        with pytest.raises(NumericalError) as info:
+            solve_one(np.diag([1.0, 0.0]), np.ones(2))
+        assert str(info.value) == (
+            "singular score system; a ridge of ridge_weight > 0 makes it "
+            "positive definite"
+        )
+        with pytest.raises(NumericalError) as info:
+            solve_one(np.diag([1.0, np.nan]), np.ones(2))
+        assert str(info.value) == "non-finite score system"
+
+    def test_two_threads_at_once(self):
+        # blocks of one pass are solved on several threads at once
+        rng = np.random.default_rng(22)
+        systems = [(spd_stack(rng, 2048, 10), rng.standard_normal((2048, 10)))
+                   for _ in range(2)]
+        want = [solve_scores_batch(H, rho, "ridge", 1e-6) for H, rho in systems]
+        got = [[] for _ in systems]
+        barrier = threading.Barrier(len(systems))
+
+        def solve(i):
+            barrier.wait()
+            for _ in range(5):
+                got[i].append(solve_scores_batch(*systems[i], "ridge", 1e-6))
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(systems))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for results, expected in zip(got, want):
+            assert len(results) == 5
+            for result in results:
+                np.testing.assert_array_equal(result, expected)
 
 
 class TestFitContracts:
@@ -572,7 +633,7 @@ class TestSquarem:
         walk = engine._walk
         walks, after_sums = [], []
 
-        def failing(data, model, log_coefficient, update, hook=None):
+        def failing(data, model, log_coefficient, update, hook=None, bases=None):
             # every walk without update after the first, which is trace[0]'s,
             # is the one for the sums at theta'
             sums_walk = not update and bool(walks)
@@ -582,7 +643,7 @@ class TestSquarem:
             if after_sums:
                 after_sums.clear()
                 raise NumericalError("injected")
-            result = walk(data, model, log_coefficient, update, hook)
+            result = walk(data, model, log_coefficient, update, hook, bases)
             if where == "map" and sums_walk:
                 after_sums.append(True)
             return result
@@ -624,6 +685,37 @@ class TestSquarem:
         model = fit(data, ModelSpec(n_factors=2, score_update=mode, tol=1e-9, seed=2))
         assert model.extrapolations > 0
         assert len(passes) == 1 + model.iterations_run + model.extrapolations
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only"]
+    )
+    def test_sums_at_theta_prime_equal_a_full_walk(self, monkeypatch, dataset):
+        # the walk at theta' forms only the sums: they are those of a walk
+        # that also builds the score systems and the objective
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", 16)
+        data = objective_datasets()[dataset]
+        spec = ModelSpec(n_factors=2, tol=1e-300, max_iters=4, seed=5)
+        model = fit(data, spec)
+
+        def hook(rows, observed):
+            # a theta other than the optimum at the model's scores
+            scores = 0.5 * model.scores[:, rows]
+            Y, mask, bits = observed
+            sigma2 = None if Y is None else gmod.gaussian_m_step(
+                model.gaussian, scores, Y, mask, spec.alpha, spec.beta, bits
+            )
+            psis = [mmod.psi_update(s.loading_mean, scores) for s in model.categoricals]
+            return sigma2, psis
+
+        objective, lean = engine._walk(data, model, None, update=False, hook=hook)
+        assert objective is None
+        full_objective, full = engine._walk(
+            data, model, engine._log_coefficient(data), update=False, hook=hook
+        )
+        assert np.isfinite(full_objective)
+        assert len(lean) == len(full) > 0
+        for got, want in zip(lean, full):
+            np.testing.assert_array_equal(got, want)
 
     def test_non_finite_extrapolation_is_skipped(self, monkeypatch):
         # a step length that overflows theta' in every block: no
@@ -672,6 +764,78 @@ class TestSquarem:
         assert reached and reached[0] <= plain.iterations_run / 3, (
             reached[:1], plain.iterations_run
         )
+
+
+class TestGlobalStep:
+    """A map evaluation finishes every loading posterior from one stacked
+    factorization and builds the score bases once (engine._global_step)."""
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only"]
+    )
+    @pytest.mark.parametrize("block", [2048, 7], ids=["one-block", "many-blocks"])
+    def test_one_factorization_and_one_basis_build_per_map_evaluation(
+        self, monkeypatch, dataset, block
+    ):
+        factored, built = [], []
+        cholesky, score_bases = np.linalg.cholesky, engine._score_bases
+
+        def counting_cholesky(matrices):
+            factored.append(matrices.shape)
+            return cholesky(matrices)
+
+        def counting_bases(cat_states):
+            built.append(len(cat_states))
+            return score_bases(cat_states)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(engine, "_score_bases", counting_bases)
+        monkeypatch.setattr(engine, "INSTANCE_BLOCK", block)
+        data = objective_datasets()[dataset]
+        model = fit(data, ModelSpec(n_factors=2, tol=1e-9, seed=2))
+        assert model.extrapolations > 0
+        # the prior's global step, then one per map evaluation
+        assert len(factored) == len(built) == 1 + model.iterations_run
+        stack = data.n_gaussian + 2 * len(data.categoricals)
+        assert set(factored) == {(stack, 2, 2)}
+
+    @pytest.mark.parametrize(
+        "dataset", ["masked-two-block", "gaussian-only", "categorical-only"]
+    )
+    def test_stacked_finish_equals_block_by_block(self, dataset):
+        data = objective_datasets()[dataset]
+        model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=3, seed=1))
+        _, sums = engine._walk(data, model, engine._log_coefficient(data), update=False)
+        gauss, cats, bases = engine._global_step(data, sums)
+        parts = iter(sums)
+        if data.gaussian is not None:
+            want = gmod._e_step_finish(next(parts), next(parts))
+            np.testing.assert_array_equal(gauss.mean, want.mean)
+            np.testing.assert_array_equal(gauss.cov, want.cov)
+            assert gauss.cov_terms == want.cov_terms
+        else:
+            assert gauss is None
+        assert len(cats) == len(data.categoricals)
+        for state, block in zip(cats, data.categoricals):
+            want = mmod._e_step_finish(next(parts), next(parts), block.n_categories)
+            for name in ("precision", "precision_inv", "cross_cov", "loading_mean"):
+                np.testing.assert_array_equal(getattr(state, name), getattr(want, name))
+            assert state.cov_terms == want.cov_terms
+        for got, want in zip(bases, engine._score_bases(cats), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stack_that_does_not_factor_names_its_block(self):
+        data = objective_datasets()["masked-two-block"]
+        model = fit(data, ModelSpec(n_factors=2, tol=1e-300, max_iters=2, seed=1))
+        _, sums = engine._walk(data, model, engine._log_coefficient(data), update=False)
+        bad = [np.array(part) for part in sums]
+        bad[0][:, 3] = np.nan  # feature 3's precision sums
+        with pytest.raises(NumericalError, match="failed for feature 3"):
+            engine._global_step(data, bad)
+        bad = [np.array(part) for part in sums]
+        bad[4] = -10.0 * np.eye(2)  # the second categorical block's gram
+        with pytest.raises(NumericalError, match="block precision"):
+            engine._global_step(data, bad)
 
 
 class TestInstanceBlocks:

@@ -189,6 +189,32 @@ class TestMStep:
             best = grid[np.argmax(objective(grid))]
             assert got == pytest.approx(best, rel=1e-4)
 
+    def test_bit_select_equals_where(self):
+        # hidden entries are pinned by a select on their bits, as
+        # np.where(mask, sigma2, prior mode) is, bit for bit; the select
+        # words a caller passes are left as they are
+        rng = np.random.default_rng(12)
+        k, b, d1 = 3, 300, 7
+        cov = rng.standard_normal((d1, k, k))
+        state = GaussianState(
+            mean=rng.standard_normal((d1, k)), cov=cov @ cov.transpose(0, 2, 1)
+        )
+        C = rng.standard_normal((k, b))
+        Y = rng.standard_normal((b, d1))
+        mask = rng.random((b, d1)) > 0.3
+        Y[~mask] = np.nan
+        observed = gmod._observed(Y, mask)
+        unmasked = m_step(state, C, observed, None, alpha=1.5, beta=0.3)
+        want = np.where(mask, unmasked, prior_mode_variance(1.5, 0.3))
+        bits = gmod._select_bits(mask)
+        before = bits.copy()
+        for given in (None, bits):
+            got = m_step(state, C, observed, mask, alpha=1.5, beta=0.3, bits=given)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(bits, before)
+        np.testing.assert_array_equal(gmod._observed(Y, mask, bits), observed)
+        np.testing.assert_array_equal(bits, before)
+
     def test_floor_applied(self):
         state = GaussianState(mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         sigma2 = m_step(

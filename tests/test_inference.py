@@ -13,6 +13,7 @@ from mmfa import (
     HeteroDataset,
     ModelSpec,
     MultinomialData,
+    NumericalError,
     UndefinedMetricError,
     UndefinedScoreError,
     anomaly_detect,
@@ -133,6 +134,28 @@ class TestScoreInstance:
         np.testing.assert_array_equal(
             model.categoricals[0].loading_mean, before["loading"]
         )
+
+
+class TestFlaggedSolve:
+    """Scoring's Newton step flags the instances whose Newton matrix plus
+    ridge is not positive definite (engine._solve with flag)."""
+
+    @pytest.mark.parametrize("lam, flagged", [(0.0, True), (1.0, False)])
+    def test_only_the_non_pd_instance_is_flagged(self, lam, flagged):
+        rng = np.random.default_rng(31)
+        k, b = 3, 200
+        M = rng.standard_normal((b, k, 2 * k))
+        H = M @ M.transpose(0, 2, 1) / (2 * k) + 0.1 * np.eye(k)
+        H[117] = np.diag([2.0, -0.5, 3.0])  # positive definite only with the ridge
+        rho = rng.standard_normal((b, k))
+        x, ok = engine._solve(H, rho, lam, flag=True)
+        assert ok.tolist() == [i != 117 or not flagged for i in range(b)]
+        want = np.linalg.solve(H[ok] + lam * np.eye(k), rho[ok][..., None])[..., 0]
+        error = np.linalg.norm(x[ok] - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert error.max() <= 1e-12
+        if flagged:
+            with pytest.raises(NumericalError, match="singular score system"):
+                solve_scores_batch(H, rho, "ridge", lam)
 
 
 class TestSharedScoreSystem:
